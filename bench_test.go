@@ -12,6 +12,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -395,46 +396,54 @@ func benchMatMulTransAAt(b *testing.B, workers int) {
 func BenchmarkMatMulTransASerial(b *testing.B)   { benchMatMulTransAAt(b, 1) }
 func BenchmarkMatMulTransAParallel(b *testing.B) { benchMatMulTransAAt(b, 0) }
 
-func benchConvAt(b *testing.B, workers int) {
-	withPoolWorkers(b, workers)
-	rng := tensor.NewRNG(2)
-	// The ResNet stem shape: a training batch of 16x16 images through a
-	// 3x3 filter bank.
-	x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-	w := tensor.Randn(rng, 1, 16, 8, 3, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(x, w, nil, 1, 1)
+// ResNet's actual conv layer shapes (the image-classification workload at
+// its default hyperparameters): a training batch of 32 10×10 images
+// through the 3→6 stem, and the 12→12 3×3 conv of stage 2 at 5×5.
+var resnetConvShapes = []struct {
+	name          string
+	n, c, h, f, k int
+}{
+	{"Stem3to6", 32, 3, 10, 6, 3},
+	{"Stage2_12to12", 32, 12, 5, 12, 3},
+}
+
+// benchConvAt times the convolution forward or backward (all three
+// gradients) into reused buffers on each ResNet shape at the given pool
+// width. The serial variants are allocation-free once warm, which
+// bench-smoke gates; the parallel ones fork goroutines.
+func benchConvAt(b *testing.B, workers int, backward bool) {
+	for _, sh := range resnetConvShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			withPoolWorkers(b, workers)
+			rng := tensor.NewRNG(2)
+			x := tensor.Randn(rng, 1, sh.n, sh.c, sh.h, sh.h)
+			w := tensor.Randn(rng, 1, sh.f, sh.c, sh.k, sh.k)
+			ho := tensor.ConvOut(sh.h, sh.k, 1, 1)
+			out := tensor.New(sh.n, sh.f, ho, ho)
+			dout := tensor.Randn(rng, 1, sh.n, sh.f, ho, ho)
+			dx, dw, db := tensor.New(x.Shape...), tensor.New(w.Shape...), tensor.New(sh.f)
+			run := func() {
+				if backward {
+					tensor.Conv2DBackwardInto(nil, dx, dw, db, x, w, dout, 1, 1)
+				} else {
+					tensor.Conv2DInto(nil, out, x, w, nil, 1, 1)
+				}
+			}
+			run()        // warm the workspace and pack-buffer pools
+			runtime.GC() // collect setup debris outside the timed region
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }
 
-func BenchmarkConv2DSerial(b *testing.B)   { benchConvAt(b, 1) }
-func BenchmarkConv2DParallel(b *testing.B) { benchConvAt(b, 0) }
-
-func benchConvBackwardAt(b *testing.B, workers int) {
-	withPoolWorkers(b, workers)
-	rng := tensor.NewRNG(3)
-	x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-	w := tensor.Randn(rng, 1, 16, 8, 3, 3)
-	dout := tensor.Randn(rng, 1, 8, 16, 16, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2DBackward(x, w, dout, 1, 1, true)
-	}
-}
-
-func BenchmarkConv2DBackwardSerial(b *testing.B)   { benchConvBackwardAt(b, 1) }
-func BenchmarkConv2DBackwardParallel(b *testing.B) { benchConvBackwardAt(b, 0) }
-
-func BenchmarkConv2DIm2col(b *testing.B) {
-	rng := tensor.NewRNG(4)
-	x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-	w := tensor.Randn(rng, 1, 16, 8, 3, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2DIm2col(x, w, nil, 1, 1)
-	}
-}
+func BenchmarkConv2DForwardSerial(b *testing.B)    { benchConvAt(b, 1, false) }
+func BenchmarkConv2DForwardParallel(b *testing.B)  { benchConvAt(b, 0, false) }
+func BenchmarkConv2DBackwardSerial(b *testing.B)   { benchConvAt(b, 1, true) }
+func BenchmarkConv2DBackwardParallel(b *testing.B) { benchConvAt(b, 0, true) }
 
 func benchRunSetAt(b *testing.B, workers int) {
 	bench, err := core.FindBenchmark(core.V05, "recommendation")
@@ -520,16 +529,6 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.MatMul(x, y)
-	}
-}
-
-func BenchmarkConv2DForward(b *testing.B) {
-	rng := tensor.NewRNG(2)
-	x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-	w := tensor.Randn(rng, 1, 16, 8, 3, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(x, w, nil, 1, 1)
 	}
 }
 

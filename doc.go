@@ -23,14 +23,18 @@
 //	internal/arena      — generic size-bucketed buffer pool (float64 and
 //	                      float32 element types) with per-worker free
 //	                      lists; backs the allocation-free steady-state
-//	                      training step (0 allocs/op after warmup) and the
-//	                      GEMM pack buffers (GetRaw)
+//	                      training step (0 allocs/op after warmup), the
+//	                      GEMM pack buffers and the convolution's chunk
+//	                      workspaces (GetRaw)
 //	internal/tensor     — dense tensors + deterministic RNG; blocked,
 //	                      packed, register-tiled GEMM engines (gemm.go/
 //	                      gemm32.go: GotoBLAS-style MC×KC×NC blocking;
 //	                      AVX2 4×8 f64 and 8×8 f32 micro-kernels with
 //	                      portable fallbacks, bit-identical to the naive
-//	                      reference kernels); F32 storage + bf16 rounding
+//	                      reference kernels); one convolution, forward and
+//	                      backward: tap-major im2col → the packed GEMM →
+//	                      fold, in sample chunks of a fixed ~16K-float
+//	                      patch budget; F32 storage + bf16 rounding
 //	internal/autograd   — tape-based reverse-mode autodiff (pooled, replayable
 //	                      tapes: Reset + slot reuse keep warm steps alloc-free;
 //	                      per-tape compute dtype stages MatMul operands in

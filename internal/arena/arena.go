@@ -39,10 +39,12 @@ type Elem interface {
 }
 
 // AllocatorOf is the buffer-source contract shared by PoolOf and LocalOf.
-// Get returns a zero-filled slice of length n; Put recycles a slice
-// previously returned by Get on the same allocator family.
+// Get returns a zero-filled slice of length n and GetRaw one with
+// unspecified contents; Put recycles a slice previously returned by Get or
+// GetRaw on the same allocator family.
 type AllocatorOf[E Elem] interface {
 	Get(n int) []E
+	GetRaw(n int) []E
 	Put(buf []E)
 }
 

@@ -1,8 +1,10 @@
 package autograd
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -77,6 +79,52 @@ func TestMatMulTapeAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, step); n != 0 {
 		t.Errorf("warm MatMul tape pass allocates %v per step, want 0", n)
+	}
+}
+
+// TestConvTapeAllocFree asserts that a warm tape convolution — forward
+// and backward through the chunked im2col + GEMM path, with a bias and a
+// watched input so all three gradients run — allocates nothing: chunk
+// workspaces come from the tape's arena, gradients land in node scratch,
+// and neither the legs nor the GEMM build a closure or move an operand
+// header to the heap unless they fork. It runs on a serial pool and on a
+// 4-wide one; the shape stays under the fork threshold (forking spawns
+// goroutines, which allocate by nature), so the wide case proves the
+// dispatch itself is allocation-free when it runs inline. Each sample's
+// patch matrix (256×36) fills more than half the chunk budget, so the
+// batch of 3 runs as three chunks and the ascending-chunk dw reduction is
+// covered; the forward GEMM takes the naive branch (F = 2) and both
+// backward GEMMs the packed engine.
+func TestConvTapeAllocFree(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	x := NewParam("x", tensor.Randn(rng, 1, 3, 4, 16, 16))
+	w := NewParam("w", tensor.Randn(rng, 0.3, 2, 4, 3, 3))
+	b := NewParam("b", tensor.Randn(rng, 0.3, 2))
+	mask := tensor.Randn(rng, 1, 3, 2, 16, 16)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			old := parallel.Workers()
+			parallel.SetWorkers(workers)
+			defer parallel.SetWorkers(old)
+			local := arena.New().NewLocal()
+			tape := NewTapeIn(local)
+			defer local.Flush()
+			defer tape.ReleaseBuffers()
+			step := func() {
+				x.ZeroGrad()
+				w.ZeroGrad()
+				b.ZeroGrad()
+				tape.Reset()
+				out := Conv2D(tape.Watch(x), tape.Watch(w), tape.Watch(b), 1, 1)
+				tape.Backward(Sum(Mul(out, tape.ConstOf(mask))))
+			}
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(10, step); n != 0 {
+				t.Errorf("warm conv tape pass allocates %v per step, want 0", n)
+			}
+		})
 	}
 }
 

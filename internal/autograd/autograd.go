@@ -16,8 +16,8 @@
 // Training steps execute the same op sequence with the same shapes every
 // step, so the tape is built to be reused: Reset rewinds it without
 // discarding anything, and each op reclaims the node — output tensors,
-// gradient buffers, scratch space, cached kernel closures — it used at the
-// same position last pass. A warm tape therefore runs a full
+// gradient buffers, scratch space — it used at the same position last
+// pass. A warm tape therefore runs a full
 // forward/backward step with zero heap allocations, the property the
 // BenchmarkStepAllocs* benchmarks and internal/dist's steady-state tests
 // assert. Tapes built with NewTapeIn draw their tensor buffers from an
@@ -114,7 +114,7 @@ func (t *Tape) DType() tensor.DType { return t.dtype }
 // way allocate their closure every pass; the hot-path ops use typed nodes
 // instead.
 func (t *Tape) record(f func()) {
-	nd := t.node(opGeneric, closureBack, nil, nil, nil)
+	nd := t.node(closureBack, nil, nil, nil)
 	nd.fn = f
 }
 

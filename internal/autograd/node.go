@@ -4,15 +4,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Node kinds exist only to invalidate cached kernel closures when a pooled
-// slot is reclaimed by a different op. Ops without cached closures share
-// opGeneric; the closure-carrying ops get their own kind so a slot that
-// changes op never runs a stale kernel.
-const (
-	opGeneric uint8 = iota
-	opConv
-)
-
 // node is one pooled op record on a tape. One struct serves every op: each
 // op builder fully (re)initializes the fields its backward function reads,
 // while the backing arrays (output tensors, gradient buffers, scratch,
@@ -20,7 +11,6 @@ const (
 // allocates nothing. The back function is always a package-level function
 // — never a per-step closure — so recording it is allocation-free.
 type node struct {
-	kind uint8
 	back func(*node)
 	fn   func() // legacy closure ops only (Tape.record)
 
@@ -46,16 +36,11 @@ type node struct {
 	f0     float64
 	flag   bool
 
-	// Cached parallel-kernel closures. Created once per (slot, kind) and
-	// reused every pass: they capture only the node pointer and read the
-	// current operands at call time.
-	fwd, bwd, bwd2 func(lo, hi int)
-
 	tape *Tape
 }
 
 // node reclaims (or grows) the next node slot for this pass.
-func (t *Tape) node(kind uint8, back func(*node), a, b, c *Var) *node {
+func (t *Tape) node(back func(*node), a, b, c *Var) *node {
 	var nd *node
 	if t.n < len(t.nodes) {
 		nd = t.nodes[t.n]
@@ -64,10 +49,6 @@ func (t *Tape) node(kind uint8, back func(*node), a, b, c *Var) *node {
 		t.nodes = append(t.nodes, nd)
 	}
 	t.n++
-	if nd.kind != kind {
-		nd.kind = kind
-		nd.fwd, nd.bwd, nd.bwd2 = nil, nil, nil
-	}
 	nd.back = back
 	nd.fn = nil
 	nd.a, nd.b, nd.c = a, b, c

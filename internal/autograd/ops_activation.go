@@ -21,7 +21,7 @@ func ReLU(a *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.Apply(a.Value, reluFn))
 	}
-	nd := tp.node(opGeneric, reluBack, a, nil, nil)
+	nd := tp.node(reluBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ApplyInto(out.Value, a.Value, reluFn)
 	return out
@@ -42,7 +42,7 @@ func Sigmoid(a *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.Apply(a.Value, sigmoidFn))
 	}
-	nd := tp.node(opGeneric, sigmoidBack, a, nil, nil)
+	nd := tp.node(sigmoidBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ApplyInto(out.Value, a.Value, sigmoidFn)
 	return out
@@ -62,7 +62,7 @@ func Tanh(a *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.Apply(a.Value, math.Tanh))
 	}
-	nd := tp.node(opGeneric, tanhBack, a, nil, nil)
+	nd := tp.node(tanhBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ApplyInto(out.Value, a.Value, math.Tanh)
 	return out
@@ -82,7 +82,7 @@ func Exp(a *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.Apply(a.Value, math.Exp))
 	}
-	nd := tp.node(opGeneric, expBack, a, nil, nil)
+	nd := tp.node(expBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ApplyInto(out.Value, a.Value, math.Exp)
 	return out
@@ -101,7 +101,7 @@ func Log(a *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.Apply(a.Value, math.Log))
 	}
-	nd := tp.node(opGeneric, logBack, a, nil, nil)
+	nd := tp.node(logBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ApplyInto(out.Value, a.Value, math.Log)
 	return out
@@ -124,7 +124,7 @@ func SoftmaxRows(a *Var) *Var {
 		softmaxRows(val, a.Value)
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, softmaxRowsBack, a, nil, nil)
+	nd := tp.node(softmaxRowsBack, a, nil, nil)
 	out := tp.result(nd, n, m)
 	softmaxRows(out.Value, a.Value)
 	return out
@@ -187,7 +187,7 @@ func Dropout(a *Var, p float64, train bool, rng *tensor.RNG) *Var {
 		}
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, dropoutBack, a, nil, nil)
+	nd := tp.node(dropoutBack, a, nil, nil)
 	nd.buf = floatsCap(nd.buf, a.Value.Size())
 	for i := range nd.buf {
 		nd.buf[i] = 0

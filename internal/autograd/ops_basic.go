@@ -12,7 +12,7 @@ func Add(a, b *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.Add(a.Value, b.Value))
 	}
-	nd := tp.node(opGeneric, addBack, a, b, nil)
+	nd := tp.node(addBack, a, b, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.AddInto(out.Value, a.Value, b.Value)
 	return out
@@ -34,7 +34,7 @@ func Sub(a, b *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.Sub(a.Value, b.Value))
 	}
-	nd := tp.node(opGeneric, subBack, a, b, nil)
+	nd := tp.node(subBack, a, b, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.SubInto(out.Value, a.Value, b.Value)
 	return out
@@ -56,7 +56,7 @@ func Mul(a, b *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.Mul(a.Value, b.Value))
 	}
-	nd := tp.node(opGeneric, mulBack, a, b, nil)
+	nd := tp.node(mulBack, a, b, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.MulInto(out.Value, a.Value, b.Value)
 	return out
@@ -83,7 +83,7 @@ func Scale(a *Var, s float64) *Var {
 	if tp == nil {
 		return constResult(tensor.Scale(a.Value, s))
 	}
-	nd := tp.node(opGeneric, scaleBack, a, nil, nil)
+	nd := tp.node(scaleBack, a, nil, nil)
 	nd.f0 = s
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ScaleInto(out.Value, a.Value, s)
@@ -102,7 +102,7 @@ func AddScalar(a *Var, s float64) *Var {
 	if tp == nil {
 		return constResult(tensor.Apply(a.Value, func(v float64) float64 { return v + s }))
 	}
-	nd := tp.node(opGeneric, addScalarBack, a, nil, nil)
+	nd := tp.node(addScalarBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	for i, v := range a.Value.Data {
 		out.Value.Data[i] = v + s
@@ -126,7 +126,7 @@ func AddRowVec(a, b *Var) *Var {
 		addRowVec(val, a.Value, b.Value)
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, addRowVecBack, a, b, nil)
+	nd := tp.node(addRowVecBack, a, b, nil)
 	out := tp.result(nd, n, m)
 	addRowVec(out.Value, a.Value, b.Value)
 	return out
@@ -170,7 +170,7 @@ func MulColVec(a, b *Var) *Var {
 		mulColVec(val, a.Value, b.Value)
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, mulColVecBack, a, b, nil)
+	nd := tp.node(mulColVecBack, a, b, nil)
 	out := tp.result(nd, n, m)
 	mulColVec(out.Value, a.Value, b.Value)
 	return out
@@ -219,7 +219,7 @@ func Reshape(a *Var, shape ...int) *Var {
 	if numel(shape) != len(a.Value.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", a.Value.Shape, shape))
 	}
-	nd := tp.node(opGeneric, reshapeBack, a, nil, nil)
+	nd := tp.node(reshapeBack, a, nil, nil)
 	// The output value aliases a's data, so build the view by hand instead
 	// of through result (which would give the slot its own buffer).
 	v := &nd.out
@@ -266,7 +266,7 @@ func ConcatCols(vs ...*Var) *Var {
 		concatCols(val, vs)
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, concatColsBack, nil, nil, nil)
+	nd := tp.node(concatColsBack, nil, nil, nil)
 	nd.vars = append(nd.vars[:0], vs...)
 	out := tp.result(nd, n, total)
 	concatCols(out.Value, vs)
@@ -322,7 +322,7 @@ func ConcatRows(vs ...*Var) *Var {
 		concatRows(val, vs)
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, concatRowsBack, nil, nil, nil)
+	nd := tp.node(concatRowsBack, nil, nil, nil)
 	nd.vars = append(nd.vars[:0], vs...)
 	out := tp.result(nd, total, m)
 	concatRows(out.Value, vs)
@@ -367,7 +367,7 @@ func SliceCols(a *Var, lo, hi int) *Var {
 		sliceCols(val, a.Value, lo)
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, sliceColsBack, a, nil, nil)
+	nd := tp.node(sliceColsBack, a, nil, nil)
 	nd.i0, nd.i1 = lo, hi
 	out := tp.result(nd, n, w)
 	sliceCols(out.Value, a.Value, lo)
@@ -408,7 +408,7 @@ func SliceRows(a *Var, lo, hi int) *Var {
 		copy(val.Data, a.Value.Data[lo*m:hi*m])
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, sliceRowsBack, a, nil, nil)
+	nd := tp.node(sliceRowsBack, a, nil, nil)
 	nd.i0, nd.i1 = lo, hi
 	out := tp.result(nd, h, m)
 	copy(out.Value.Data, a.Value.Data[lo*m:hi*m])
@@ -436,7 +436,7 @@ func GatherRows(a *Var, idx []int) *Var {
 		gatherRows(val, a.Value, idx, n)
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, gatherRowsBack, a, nil, nil)
+	nd := tp.node(gatherRowsBack, a, nil, nil)
 	nd.idx = append(nd.idx[:0], idx...)
 	out := tp.result(nd, len(idx), m)
 	gatherRows(out.Value, a.Value, idx, n)

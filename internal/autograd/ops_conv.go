@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
 // Conv2D applies a 2-D convolution with weights w [F,C,KH,KW] and optional
-// bias b (nil for none) over NCHW input x.
+// bias b (nil for none) over NCHW input x. It runs on tensor's one
+// convolution (im2col + the packed GEMM, in sample chunks), drawing the
+// chunk workspaces from the tape's arena.
 func Conv2D(x, w, b *Var, stride, pad int) *Var {
 	var bt *tensor.Tensor
 	if b != nil {
@@ -22,71 +23,41 @@ func Conv2D(x, w, b *Var, stride, pad int) *Var {
 	if x.Value.Rank() != 4 || w.Value.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D requires rank-4 operands, got %v, %v", x.Value.Shape, w.Value.Shape))
 	}
-	n, c, h, wd := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
-	f, c2, kh, kw := w.Value.Shape[0], w.Value.Shape[1], w.Value.Shape[2], w.Value.Shape[3]
-	if c != c2 {
-		panic(fmt.Sprintf("tensor: Conv2D channel mismatch %v vs %v", x.Value.Shape, w.Value.Shape))
-	}
-	ho, wo := tensor.ConvOut(h, kh, stride, pad), tensor.ConvOut(wd, kw, stride, pad)
-	nd := tp.node(opConv, conv2DBack, x, w, b)
+	n, f := x.Value.Shape[0], w.Value.Shape[0]
+	ho := tensor.ConvOut(x.Value.Shape[2], w.Value.Shape[2], stride, pad)
+	wo := tensor.ConvOut(x.Value.Shape[3], w.Value.Shape[3], stride, pad)
+	nd := tp.node(conv2DBack, x, w, b)
 	nd.i0, nd.i1 = stride, pad
-	nd.flag = b != nil
 	out := tp.result(nd, n, f, ho, wo)
-	if nd.fwd == nil {
-		nd.fwd = func(lo, hi int) {
-			var bias *tensor.Tensor
-			if nd.c != nil {
-				bias = nd.c.Value
-			}
-			tensor.Conv2DPlanes(nd.out.Value, nd.a.Value, nd.b.Value, bias, nd.i0, nd.i1, lo, hi)
-		}
-		nd.bwd = func(lo, hi int) {
-			tensor.Conv2DBackwardDxSamples(nd.t0, nd.a.Value, nd.b.Value, nd.out.Grad, nd.i0, nd.i1, lo, hi)
-		}
-		nd.bwd2 = func(lo, hi int) {
-			tensor.Conv2DBackwardDwFilters(nd.t1, nd.t2, nd.a.Value, nd.out.Grad, nd.i0, nd.i1, nd.flag, lo, hi)
-		}
-	}
-	planeCost := float64(ho * wo * c * kh * kw)
-	parallel.ForCost(n*f, planeCost, nd.fwd)
+	tensor.Conv2DInto(tp.alloc, out.Value, x.Value, w.Value, bt, stride, pad)
 	return out
 }
 
+// conv2DBack writes the gradients the operands need into the node's
+// pooled scratch (t0/t1/t2 for dx/dw/db) and accumulates them; an operand
+// off the tape (an input batch) costs no gradient work at all.
+//
+//mlperfvet:hotpath
 func conv2DBack(nd *node) {
 	x, w, b := nd.a, nd.b, nd.c
-	stride, pad := nd.i0, nd.i1
-	hasBias := nd.flag
-	n, c := x.Value.Shape[0], x.Value.Shape[1]
-	f, kh, kw := w.Value.Shape[0], w.Value.Shape[2], w.Value.Shape[3]
-	ho, wo := nd.out.Value.Shape[2], nd.out.Value.Shape[3]
-
-	// Pooled scratch gradients, zeroed to match the fresh allocations of
-	// the non-pooled path (bit-identity oracle).
-	dx := nd.tape.ensureTensor(&nd.t0, x.Value.Shape...)
-	dw := nd.tape.ensureTensor(&nd.t1, w.Value.Shape...)
-	dx.Zero()
-	dw.Zero()
-	var db *tensor.Tensor
-	if hasBias {
-		db = nd.tape.ensureTensor(&nd.t2, f)
-		db.Zero()
-	}
-
-	planeCost := float64(ho * wo * c * kh * kw)
-	if !parallel.Worth(2 * planeCost * float64(n*f)) {
-		tensor.Conv2DBackwardSerialInto(dx, dw, db, x.Value, w.Value, nd.out.Grad, stride, pad, hasBias)
-	} else {
-		parallel.ForCost(n, planeCost*float64(f), nd.bwd)
-		parallel.ForCost(f, planeCost*float64(n), nd.bwd2)
-	}
-
+	var dx, dw, db *tensor.Tensor
 	if x.tape != nil {
-		x.Grad.AddInPlace(dx)
+		dx = nd.tape.ensureTensor(&nd.t0, x.Value.Shape...)
 	}
 	if w.tape != nil {
-		w.Grad.AddInPlace(dw)
+		dw = nd.tape.ensureTensor(&nd.t1, w.Value.Shape...)
 	}
 	if b != nil && b.tape != nil {
+		db = nd.tape.ensureTensor(&nd.t2, b.Value.Shape...)
+	}
+	tensor.Conv2DBackwardInto(nd.tape.alloc, dx, dw, db, x.Value, w.Value, nd.out.Grad, nd.i0, nd.i1)
+	if dx != nil {
+		x.Grad.AddInPlace(dx)
+	}
+	if dw != nil {
+		w.Grad.AddInPlace(dw)
+	}
+	if db != nil {
 		b.Grad.AddInPlace(db)
 	}
 }
@@ -101,7 +72,7 @@ func MaxPool2D(x *Var, k, s int) *Var {
 	n, c := x.Value.Shape[0], x.Value.Shape[1]
 	ho := tensor.ConvOut(x.Value.Shape[2], k, s, 0)
 	wo := tensor.ConvOut(x.Value.Shape[3], k, s, 0)
-	nd := tp.node(opGeneric, maxPool2DBack, x, nil, nil)
+	nd := tp.node(maxPool2DBack, x, nil, nil)
 	nd.i0, nd.i1 = k, s
 	out := tp.result(nd, n, c, ho, wo)
 	nd.idx = intsCap(nd.idx, out.Value.Size())
@@ -130,7 +101,7 @@ func GlobalAvgPool2D(x *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.GlobalAvgPool2D(x.Value))
 	}
-	nd := tp.node(opGeneric, globalAvgPool2DBack, x, nil, nil)
+	nd := tp.node(globalAvgPool2DBack, x, nil, nil)
 	out := tp.result(nd, x.Value.Shape[0], x.Value.Shape[1])
 	tensor.GlobalAvgPool2DInto(out.Value, x.Value)
 	return out
@@ -172,7 +143,7 @@ func BatchNorm2D(x, gamma, beta *Var, runMean, runVar *tensor.Tensor, momentum, 
 	var mean, variance, invStd, xhat []float64
 	var val *tensor.Tensor
 	if tp != nil {
-		nd = tp.node(opGeneric, batchNorm2DBack, x, gamma, beta)
+		nd = tp.node(batchNorm2DBack, x, gamma, beta)
 		nd.flag = train
 		nd.buf2 = floatsCap(nd.buf2, 3*c)
 		mean, variance, invStd = nd.buf2[0:c], nd.buf2[c:2*c], nd.buf2[2*c:3*c]
@@ -303,7 +274,7 @@ func LayerNorm(x, gamma, beta *Var, eps float64) *Var {
 	var xhat, invStd []float64
 	var val *tensor.Tensor
 	if tp != nil {
-		nd = tp.node(opGeneric, layerNormBack, x, gamma, beta)
+		nd = tp.node(layerNormBack, x, gamma, beta)
 		nd.buf = floatsCap(nd.buf, n*m)
 		nd.buf2 = floatsCap(nd.buf2, n)
 		xhat, invStd = nd.buf, nd.buf2
@@ -396,7 +367,7 @@ func RoIAlign(x *Var, boxes []RoIBox, size int) *Var {
 	var tapWgt []float64
 	outSize := r * c * size * size
 	if tp != nil {
-		nd = tp.node(opGeneric, roiAlignBack, x, nil, nil)
+		nd = tp.node(roiAlignBack, x, nil, nil)
 		val = tp.result(nd, r, c, size, size).Value
 		nd.idx = intsCap(nd.idx, 4*outSize)
 		nd.buf = floatsCap(nd.buf, 4*outSize)
@@ -488,7 +459,7 @@ func SpatialRows(x *Var, k int) *Var {
 	var nd *node
 	var val *tensor.Tensor
 	if tp != nil {
-		nd = tp.node(opGeneric, spatialRowsBack, x, nil, nil)
+		nd = tp.node(spatialRowsBack, x, nil, nil)
 		nd.i0 = k
 		val = tp.result(nd, rows, k).Value
 	} else {

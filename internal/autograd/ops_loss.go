@@ -63,7 +63,7 @@ func SoftmaxCrossEntropy(logits *Var, labels []int) *Var {
 		loss, count := softmaxCEForward(probs, logits.Value, labels)
 		return constResult(tensor.FromSlice([]float64{loss / float64(count)}, 1))
 	}
-	nd := tp.node(opGeneric, softmaxCEBack, logits, nil, nil)
+	nd := tp.node(softmaxCEBack, logits, nil, nil)
 	nd.buf = floatsCap(nd.buf, n*m)
 	nd.idx = append(nd.idx[:0], labels...)
 	loss, count := softmaxCEForward(nd.buf, logits.Value, labels)
@@ -108,7 +108,7 @@ func BCEWithLogits(logits *Var, targets []float64) *Var {
 	if tp == nil {
 		return constResult(tensor.FromSlice([]float64{loss / float64(n)}, 1))
 	}
-	nd := tp.node(opGeneric, bceBack, logits, nil, nil)
+	nd := tp.node(bceBack, logits, nil, nil)
 	nd.buf = append(nd.buf[:0], targets...)
 	out := tp.result(nd, 1)
 	out.Value.Data[0] = loss / float64(n)
@@ -140,7 +140,7 @@ func MSE(pred *Var, target *tensor.Tensor) *Var {
 	if tp == nil {
 		return constResult(tensor.FromSlice([]float64{loss / float64(n)}, 1))
 	}
-	nd := tp.node(opGeneric, mseBack, pred, nil, nil)
+	nd := tp.node(mseBack, pred, nil, nil)
 	nd.aux = target
 	out := tp.result(nd, 1)
 	out.Value.Data[0] = loss / float64(n)
@@ -176,7 +176,7 @@ func SmoothL1(pred *Var, target *tensor.Tensor) *Var {
 	if tp == nil {
 		return constResult(tensor.FromSlice([]float64{loss / float64(n)}, 1))
 	}
-	nd := tp.node(opGeneric, smoothL1Back, pred, nil, nil)
+	nd := tp.node(smoothL1Back, pred, nil, nil)
 	nd.aux = target
 	out := tp.result(nd, 1)
 	out.Value.Data[0] = loss / float64(n)
@@ -244,7 +244,7 @@ func SoftCrossEntropy(logits *Var, targets *tensor.Tensor) *Var {
 		loss := softCEForward(probs, logits.Value, targets)
 		return constResult(tensor.FromSlice([]float64{loss / float64(n)}, 1))
 	}
-	nd := tp.node(opGeneric, softCEBack, logits, nil, nil)
+	nd := tp.node(softCEBack, logits, nil, nil)
 	nd.aux = targets
 	nd.buf = floatsCap(nd.buf, n*m)
 	loss := softCEForward(nd.buf, logits.Value, targets)

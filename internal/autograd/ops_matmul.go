@@ -34,7 +34,7 @@ func MatMul(a, b *Var) *Var {
 		// BFloat16), run the f32 engine with fp32 accumulation, widen the
 		// result back. The staged operands stay live in the node for the
 		// backward products.
-		nd := tp.node(opGeneric, matMulLPBack, a, b, nil)
+		nd := tp.node(matMulLPBack, a, b, nil)
 		out := tp.result(nd, n, m)
 		la := ensureF32(&nd.lpa, n, k)
 		lb := ensureF32(&nd.lpb, k, m)
@@ -45,7 +45,7 @@ func MatMul(a, b *Var) *Var {
 		lo.CopyToF64(out.Value)
 		return out
 	}
-	nd := tp.node(opGeneric, matMulBack, a, b, nil)
+	nd := tp.node(matMulBack, a, b, nil)
 	out := tp.result(nd, n, m)
 	tensor.MatMulInto(out.Value, a.Value, b.Value)
 	return out
@@ -107,7 +107,7 @@ func Transpose(a *Var) *Var {
 	if a.Value.Rank() != 2 {
 		panic("tensor: Transpose2D requires rank 2")
 	}
-	nd := tp.node(opGeneric, transposeBack, a, nil, nil)
+	nd := tp.node(transposeBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape[1], a.Value.Shape[0])
 	transpose2DInto(out.Value, a.Value)
 	return out
@@ -147,7 +147,7 @@ func RowSum(a *Var) *Var {
 		rowSum(val, a.Value)
 		return constResult(val)
 	}
-	nd := tp.node(opGeneric, rowSumBack, a, nil, nil)
+	nd := tp.node(rowSumBack, a, nil, nil)
 	out := tp.result(nd, n, 1)
 	rowSum(out.Value, a.Value)
 	return out
@@ -182,7 +182,7 @@ func Sum(a *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.FromSlice([]float64{a.Value.Sum()}, 1))
 	}
-	nd := tp.node(opGeneric, sumBack, a, nil, nil)
+	nd := tp.node(sumBack, a, nil, nil)
 	out := tp.result(nd, 1)
 	out.Value.Data[0] = a.Value.Sum()
 	return out
@@ -203,7 +203,7 @@ func Mean(a *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.FromSlice([]float64{a.Value.Sum() / n}, 1))
 	}
-	nd := tp.node(opGeneric, meanBack, a, nil, nil)
+	nd := tp.node(meanBack, a, nil, nil)
 	nd.f0 = n
 	out := tp.result(nd, 1)
 	out.Value.Data[0] = a.Value.Sum() / n

@@ -125,9 +125,9 @@ func (p *Pool) forkRun(n, grain, w int, body func(lo, hi int)) {
 }
 
 // Worth reports whether a loop of the given total cost (roughly float
-// ops) is worth parallelizing on this pool: callers with a cheaper serial
-// algorithm (e.g. the fused single-pass convolution backward) use it to
-// choose between the serial and sharded formulations.
+// ops) is worth parallelizing on this pool. Callers check it before
+// building a fork closure (the GEMM engine, the convolution legs), so a
+// loop that runs inline allocates nothing.
 func (p *Pool) Worth(totalCost float64) bool {
 	return p.Workers() > 1 && totalCost >= minParallelCost
 }

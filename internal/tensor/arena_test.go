@@ -74,6 +74,8 @@ func TestDoubleReleasePanics(t *testing.T) {
 	x.Release()
 }
 
+// TestConv2DIm2colInMatchesConv2D checks that Conv2DInto with a caller
+// arena reproduces Conv2D's bits and recycles its chunk workspaces.
 func TestConv2DIm2colInMatchesConv2D(t *testing.T) {
 	a := arena.New()
 	rng := NewRNG(5)
@@ -82,9 +84,10 @@ func TestConv2DIm2colInMatchesConv2D(t *testing.T) {
 	b := Randn(rng, 1, 4)
 	ref := Conv2D(x, w, b, 1, 1)
 	for pass := 0; pass < 2; pass++ { // second pass reuses pooled workspaces
-		got := Conv2DIm2colIn(a, x, w, b, 1, 1)
-		if !Equal(ref, got, 1e-12) {
-			t.Fatalf("pass %d: Conv2DIm2colIn differs from Conv2D", pass)
+		got := New(ref.Shape...)
+		Conv2DInto(a, got, x, w, b, 1, 1)
+		if !Equal(ref, got, 0) {
+			t.Fatalf("pass %d: Conv2DInto differs from Conv2D", pass)
 		}
 	}
 	if s := a.Stats(); s.Misses >= s.Gets {

@@ -11,540 +11,436 @@ import (
 // stride s, and symmetric zero padding p.
 func ConvOut(in, k, s, p int) int { return (in+2*p-k)/s + 1 }
 
-// Conv2D computes a direct 2-D convolution (cross-correlation, as in all DL
-// frameworks) over NCHW input x [N,C,H,W] with weights w [F,C,KH,KW] and
-// optional bias b [F] (nil for none). Output is [N,F,HO,WO].
-func Conv2D(x, w, b *Tensor, stride, pad int) *Tensor {
+// Convolution (cross-correlation, as in all DL frameworks) over NCHW input
+// x [N,C,H,W] with weights w [F,C,KH,KW] and optional bias b [F] has one
+// implementation: im2col, then the packed GEMM engine, one sample chunk at
+// a time. With w̃ the [F, C·KH·KW] flattening of w and rows = samples·HO·WO,
+//
+//	forward:  cols  = im2col(x)          [C·KH·KW, rows]
+//	          prod  = w̃·cols             [F, rows]   (MatMul)
+//	          out   = fold(prod) + b     [N, F, HO, WO]
+//	backward: dprod = unfold(dout)       [F, rows]
+//	          dw    = Σ dprod·colsᵀ      (MatMulTransB, one term per chunk)
+//	          dx    = col2im(w̃ᵀ·dprod)   (MatMulTransA)
+//	          db    = row sums of dprod
+//
+// The patch matrix is stored tap-major — row (ic, ky, kx) holds that tap's
+// input value at every output position of the chunk — so im2col and
+// col2im move whole output-row runs, fold and unfold copy whole planes,
+// and the GEMMs' long dimension is the chunk's output positions.
+//
+// Chunking. Each chunk's patch matrix holds at most convChunkBudget floats
+// (one sample at least), so the workspaces stay cache-sized and the peak
+// footprint does not grow with the batch. The chunk size is derived from
+// the layer shape alone — never from the worker count — so chunk
+// boundaries, and with them every summation order, are fixed per layer.
+//
+// Determinism. Every leg shards by disjoint output: the GEMMs by output
+// tile, im2col by tap row, fold/unfold by (sample, filter) plane, col2im
+// by (sample, channel) plane, db by filter. Partial dw products are added
+// in ascending chunk order. Results are therefore bit-identical at every
+// worker count.
+//
+// Summation order. Each forward output element accumulates its terms from
+// zero in ascending (ic, ky, kx) order, and the patch matrix holds exact
+// zeros where a receptive field overhangs the padding — so without a bias
+// the forward is bit-identical to the elementwise reference nest. The bias
+// is added after the sum.
+
+// convChunkBudget bounds one chunk's patch matrix: about 16K float64s
+// (128 KiB), an L2-sized working set.
+const convChunkBudget = 1 << 14
+
+// convForkWork is the least work (multiply-adds for a GEMM, elements for
+// a copy leg) a convolution loop must carry before it forks the pool. A
+// fork costs CPU on every worker it wakes, and a chunk's loops are small:
+// forking at the pool's own threshold more than doubled the CPU time of
+// ResNet training on a 2-vCPU host (ttbench resnet_serial cpu_s 3.6 s vs
+// 1.6 s serial). Layers big enough to amortize a fork — wide filter banks,
+// large single samples — still shard.
+const convForkWork = 1 << 18
+
+// convWorkspace is the shared workspace pool of callers that pass no
+// allocator (the no-tape Conv2D: pure inference, MiniGo search).
+var convWorkspace = arena.New()
+
+// convPass carries one convolution call: the layer geometry, the operands,
+// and the chunk in flight with its workspaces. The legs are methods on it,
+// so a single dispatcher (shard) forks all of them.
+type convPass struct {
+	n, c, h, wd int // input batch, channels, and spatial size
+	f, kh, kw   int // filters and kernel size
+	stride, pad int
+	ho, wo      int // output spatial size
+
+	x, w, bias, dout []float64 // operands (bias and dout nil when absent)
+	out, dx, db      []float64 // results (nil when not requested)
+
+	s0, s1 int       // the chunk in flight: samples [s0, s1)
+	cols   []float64 // chunk patch matrix [C·KH·KW, rows]
+	dcols  []float64 // chunk patch-matrix gradient [C·KH·KW, rows]
+	mat    []float64 // chunk product (forward) or dout unfold (backward) [F, rows]
+}
+
+// newConvPass validates the operands of a convolution and returns its pass.
+func newConvPass(x, w *Tensor, stride, pad int) convPass {
 	if x.Rank() != 4 || w.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D requires rank-4 operands, got %v, %v", x.Shape, w.Shape))
 	}
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	f, c2, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	if c != c2 {
+	if x.Shape[1] != w.Shape[1] {
 		panic(fmt.Sprintf("tensor: Conv2D channel mismatch %v vs %v", x.Shape, w.Shape))
 	}
-	ho, wo := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
-	out := New(n, f, ho, wo)
-	// Each (sample, filter) output plane is independent, so planes shard
-	// over the pool; within a plane the serial loop nest is unchanged and
-	// the result is bit-identical at every worker count.
-	planeCost := float64(ho * wo * c * kh * kw)
-	parallel.ForCost(n*f, planeCost, func(lo, hi int) {
-		Conv2DPlanes(out, x, w, b, stride, pad, lo, hi)
-	})
+	p := convPass{
+		n: x.Shape[0], c: x.Shape[1], h: x.Shape[2], wd: x.Shape[3],
+		f: w.Shape[0], kh: w.Shape[2], kw: w.Shape[3],
+		stride: stride, pad: pad,
+		x: x.Data, w: w.Data,
+	}
+	p.ho, p.wo = ConvOut(p.h, p.kh, stride, pad), ConvOut(p.wd, p.kw, stride, pad)
+	return p
+}
+
+func (p *convPass) patch() int { return p.c * p.kh * p.kw }
+func (p *convPass) plane() int { return p.ho * p.wo }
+func (p *convPass) rows() int  { return (p.s1 - p.s0) * p.plane() }
+
+// chunk returns the samples per chunk: as many as keep the chunk's patch
+// matrix within convChunkBudget, and at least one.
+func (p *convPass) chunk() int {
+	return max(1, convChunkBudget/max(1, p.plane()*p.patch()))
+}
+
+// oxRange returns the output columns [lo, hi) whose tap kx falls inside
+// the input row; columns outside it read (or write) padding.
+func (p *convPass) oxRange(kx int) (lo, hi int) {
+	if off := p.pad - kx; off > 0 {
+		lo = min(p.wo, (off+p.stride-1)/p.stride)
+	}
+	if last := p.wd - 1 + p.pad - kx; last >= 0 {
+		hi = min(p.wo, last/p.stride+1)
+	}
+	return lo, max(lo, hi)
+}
+
+// Conv2D returns the convolution of x [N,C,H,W] by w [F,C,KH,KW] plus the
+// optional bias b [F] (nil for none): [N,F,HO,WO]. Workspaces come from a
+// shared pool.
+func Conv2D(x, w, b *Tensor, stride, pad int) *Tensor {
+	p := newConvPass(x, w, stride, pad)
+	out := New(p.n, p.f, p.ho, p.wo)
+	Conv2DInto(nil, out, x, w, b, stride, pad)
 	return out
 }
 
-// Conv2DPlanes computes (sample, filter) output planes [lo, hi) of a
-// Conv2D call — the exported sharded body, reusable through a cached
-// closure by steady-state callers. Every output element is fully
-// overwritten.
-//
-// The loop nest is the register-friendly row-accumulator form: each
-// output row is initialized to the bias and then accumulates one
-// (channel, kernel-row) contribution at a time, with the in-bounds
-// interior columns running through an unrolled, branch-free tap loop.
-// Per output element the terms still arrive in the serial
-// (ic, ky, kx) order with bias first — exactly the sequence of the
-// original elementwise nest — so results are bit-identical to it (the
-// parity test in conv_test.go pins this against a retained naive
-// reference).
-//
-//mlperfvet:hotpath
-func Conv2DPlanes(out, x, w, b *Tensor, stride, pad, lo, hi int) {
-	c, h, wd := x.Shape[1], x.Shape[2], x.Shape[3]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	ho, wo := out.Shape[2], out.Shape[3]
-	for plane := lo; plane < hi; plane++ {
-		in, of := plane/f, plane%f
-		bias := 0.0
-		if b != nil {
-			bias = b.Data[of]
-		}
-		for oy := 0; oy < ho; oy++ {
-			orow := out.Data[(plane*ho+oy)*wo : (plane*ho+oy+1)*wo]
-			for i := range orow {
-				orow[i] = bias
-			}
-			iy0 := oy*stride - pad
-			for ic := 0; ic < c; ic++ {
-				xBase := ((in*c + ic) * h) * wd
-				wBase := ((of*c + ic) * kh) * kw
-				for ky := 0; ky < kh; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					convRowAcc(orow,
-						x.Data[xBase+iy*wd:xBase+(iy+1)*wd],
-						w.Data[wBase+ky*kw:wBase+(ky+1)*kw],
-						stride, pad, wd)
-				}
-			}
-		}
+// Conv2DInto is Conv2D into a caller-owned out [N,F,HO,WO], which is fully
+// overwritten. The chunk workspaces come from al (nil: a shared pool) and
+// go back to it before return, so a warm caller allocates nothing.
+func Conv2DInto(al arena.Allocator, out, x, w, b *Tensor, stride, pad int) {
+	p := newConvPass(x, w, stride, pad)
+	if out.Size() != p.n*p.f*p.ho*p.wo {
+		panic(fmt.Sprintf("tensor: Conv2DInto output %v for input %v, weights %v", out.Shape, x.Shape, w.Shape))
 	}
+	p.out = out.Data
+	if b != nil {
+		p.bias = b.Data
+	}
+	p.forward(al)
 }
 
-// convRowAcc accumulates one (channel, kernel-row) contribution into an
-// output row: orow[ox] += Σ_kx xRow[ox·stride−pad+kx] · wRow[kx] over the
-// in-bounds kx range, ascending. Interior columns (whole kernel row in
-// bounds) run the unrolled fast path; edge columns clamp the tap range —
-// the same taps, in the same order, as the elementwise nest.
-//
-//mlperfvet:hotpath
-func convRowAcc(orow, xRow, wRow []float64, stride, pad, wd int) {
-	wo, kw := len(orow), len(wRow)
-	lo := 0
-	if pad > 0 {
-		lo = (pad + stride - 1) / stride // first ox with ox·stride−pad >= 0
-		if lo > wo {
-			lo = wo
-		}
+// Conv2DBackwardInto writes the gradients of a convolution given the
+// upstream gradient dout [N,F,HO,WO]: dx (shaped like x), dw (like w) and
+// db [F], each fully overwritten. Any of the three may be nil to skip it —
+// an input batch needs no dx, a bias-free layer has no db. Workspaces come
+// from al (nil: a shared pool) as in Conv2DInto.
+func Conv2DBackwardInto(al arena.Allocator, dx, dw, db, x, w, dout *Tensor, stride, pad int) {
+	p := newConvPass(x, w, stride, pad)
+	if dout.Size() != p.n*p.f*p.ho*p.wo {
+		panic(fmt.Sprintf("tensor: Conv2DBackwardInto upstream %v for input %v, weights %v", dout.Shape, x.Shape, w.Shape))
 	}
-	hi := 0
-	if t := wd + pad - kw; t >= 0 {
-		hi = t/stride + 1 // one past the last ox with the row fully in bounds
-		if hi > wo {
-			hi = wo
-		}
+	p.dout = dout.Data
+	if dx != nil {
+		p.dx = dx.Data
 	}
-	if hi < lo {
-		hi = lo
+	if db != nil {
+		p.db = db.Data
 	}
-	for ox := 0; ox < lo; ox++ {
-		convEdgeTap(orow, xRow, wRow, ox, stride, pad, wd)
+	var dwData []float64
+	if dw != nil {
+		dwData = dw.Data
 	}
-	if kw == 3 {
-		w0, w1, w2 := wRow[0], wRow[1], wRow[2]
-		for ox := lo; ox < hi; ox++ {
-			ix0 := ox*stride - pad
-			s := orow[ox]
-			s += xRow[ix0] * w0
-			s += xRow[ix0+1] * w1
-			s += xRow[ix0+2] * w2
-			orow[ox] = s
-		}
-	} else {
-		for ox := lo; ox < hi; ox++ {
-			ix0 := ox*stride - pad
-			s := orow[ox]
-			for kx, wv := range wRow {
-				s += xRow[ix0+kx] * wv
-			}
-			orow[ox] = s
-		}
-	}
-	for ox := hi; ox < wo; ox++ {
-		convEdgeTap(orow, xRow, wRow, ox, stride, pad, wd)
-	}
+	p.backward(al, dwData)
 }
 
-// convEdgeTap accumulates the in-bounds taps of one edge output column.
-//
-//mlperfvet:hotpath
-func convEdgeTap(orow, xRow, wRow []float64, ox, stride, pad, wd int) {
-	ix0 := ox*stride - pad
-	kx0, kx1 := 0, len(wRow)
-	if ix0 < 0 {
-		kx0 = -ix0
-	}
-	if ix0+kx1 > wd {
-		kx1 = wd - ix0
-	}
-	s := orow[ox]
-	for kx := kx0; kx < kx1; kx++ {
-		s += xRow[ix0+kx] * wRow[kx]
-	}
-	orow[ox] = s
-}
-
-// Conv2DBackward computes gradients of a Conv2D call: given upstream grad
-// dout [N,F,HO,WO], it returns (dx, dw, db) matching x, w, and bias shapes.
-// db is nil when hasBias is false.
-//
-// The parallel formulation splits the fused serial pass in two: dx shards
-// over samples (each sample's dx is written by exactly one worker) and
-// dw/db shard over filters (each filter's slice of dw and its db entry are
-// written by exactly one worker). Both passes visit the contributing terms
-// of each gradient element in the same order as the fused serial pass —
-// (of, oy, ox) within a sample for dx; (in, oy, ox) within a filter for dw
-// and db — so all three gradients are bit-identical to the serial path at
-// every worker count.
-func Conv2DBackward(x, w, dout *Tensor, stride, pad int, hasBias bool) (dx, dw, db *Tensor) {
-	n, c := x.Shape[0], x.Shape[1]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	ho, wo := dout.Shape[2], dout.Shape[3]
-	dx = New(x.Shape...)
-	dw = New(w.Shape...)
-	if hasBias {
-		db = New(f)
-	}
-	planeCost := float64(ho * wo * c * kh * kw)
-	if !parallel.Worth(2 * planeCost * float64(n*f)) {
-		Conv2DBackwardSerialInto(dx, dw, db, x, w, dout, stride, pad, hasBias)
-		return dx, dw, db
-	}
-	parallel.ForCost(n, planeCost*float64(f), func(lo, hi int) {
-		Conv2DBackwardDxSamples(dx, x, w, dout, stride, pad, lo, hi)
-	})
-	parallel.ForCost(f, planeCost*float64(n), func(lo, hi int) {
-		Conv2DBackwardDwFilters(dw, db, x, dout, stride, pad, hasBias, lo, hi)
-	})
-	return dx, dw, db
-}
-
-// Conv2DBackwardDxSamples accumulates the input gradient for samples
-// [lo, hi) into dx (which must be pre-zeroed over those samples) — the
-// exported dx-leg body of Conv2DBackward. Each sample's dx slice is owned
-// by exactly one range and accumulated in the serial (of, oy, ox) order.
-//
-//mlperfvet:hotpath
-func Conv2DBackwardDxSamples(dx, x, w, dout *Tensor, stride, pad, lo, hi int) {
-	c, h, wd := x.Shape[1], x.Shape[2], x.Shape[3]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	ho, wo := dout.Shape[2], dout.Shape[3]
-	for in := lo; in < hi; in++ {
-		for of := 0; of < f; of++ {
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					g := dout.Data[((in*f+of)*ho+oy)*wo+ox]
-					if g == 0 {
-						continue
-					}
-					iy0 := oy*stride - pad
-					ix0 := ox*stride - pad
-					for ic := 0; ic < c; ic++ {
-						xBase := ((in*c + ic) * h) * wd
-						wBase := ((of*c + ic) * kh) * kw
-						for ky := 0; ky < kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							xRow := xBase + iy*wd
-							wRow := wBase + ky*kw
-							for kx := 0; kx < kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= wd {
-									continue
-								}
-								dx.Data[xRow+ix] += g * w.Data[wRow+kx]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Conv2DBackwardDwFilters accumulates the weight (and, when db is non-nil,
-// bias) gradient for filters [lo, hi) into dw/db (pre-zeroed over those
-// filters) — the exported dw-leg body of Conv2DBackward. Each filter's
-// slice of dw and its db entry are owned by exactly one range and
-// accumulated in the serial (in, oy, ox) order.
-//
-//mlperfvet:hotpath
-func Conv2DBackwardDwFilters(dw, db, x, dout *Tensor, stride, pad int, hasBias bool, lo, hi int) {
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	f, kh, kw := dw.Shape[0], dw.Shape[2], dw.Shape[3]
-	ho, wo := dout.Shape[2], dout.Shape[3]
-	for of := lo; of < hi; of++ {
-		for in := 0; in < n; in++ {
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					g := dout.Data[((in*f+of)*ho+oy)*wo+ox]
-					if g == 0 {
-						continue
-					}
-					if hasBias {
-						db.Data[of] += g
-					}
-					iy0 := oy*stride - pad
-					ix0 := ox*stride - pad
-					for ic := 0; ic < c; ic++ {
-						xBase := ((in*c + ic) * h) * wd
-						wBase := ((of*c + ic) * kh) * kw
-						for ky := 0; ky < kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							xRow := xBase + iy*wd
-							wRow := wBase + ky*kw
-							for kx := 0; kx < kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= wd {
-									continue
-								}
-								dw.Data[wRow+kx] += g * x.Data[xRow+ix]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Conv2DBackwardSerialInto is the fused single-pass backward used when the
-// tensors are too small (or the pool too narrow) to amortize two sharded
-// passes. dx, dw, and (when hasBias) db must be pre-zeroed; it is exported
-// so steady-state callers can reuse scratch gradients across steps.
-func Conv2DBackwardSerialInto(dx, dw, db, x, w, dout *Tensor, stride, pad int, hasBias bool) {
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	f, _, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	ho, wo := dout.Shape[2], dout.Shape[3]
-	for in := 0; in < n; in++ {
-		for of := 0; of < f; of++ {
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					g := dout.Data[((in*f+of)*ho+oy)*wo+ox]
-					if g == 0 {
-						continue
-					}
-					if hasBias {
-						db.Data[of] += g
-					}
-					iy0 := oy*stride - pad
-					ix0 := ox*stride - pad
-					for ic := 0; ic < c; ic++ {
-						xBase := ((in*c + ic) * h) * wd
-						wBase := ((of*c + ic) * kh) * kw
-						for ky := 0; ky < kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							xRow := xBase + iy*wd
-							wRow := wBase + ky*kw
-							for kx := 0; kx < kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= wd {
-									continue
-								}
-								dx.Data[xRow+ix] += g * w.Data[wRow+kx]
-								dw.Data[wRow+kx] += g * x.Data[xRow+ix]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Im2col unfolds NCHW input x into the [N·HO·WO, C·KH·KW] patch matrix of
-// the classic im2col formulation: row r holds the receptive field of output
-// position r in (ic, ky, kx) order, with zeros where the field overhangs
-// the padding. Rows are independent and shard over the worker pool.
+// Im2col unfolds NCHW input x into the tap-major [C·KH·KW, N·HO·WO] patch
+// matrix the convolution multiplies: row (ic, ky, kx) holds that tap's
+// input value at every output position, with zeros where the tap
+// overhangs the padding.
 func Im2col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Im2col requires rank-4 input, got %v", x.Shape))
 	}
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ho, wo := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
-	patch := c * kh * kw
-	cols := New(n*ho*wo, patch)
-	Im2colInto(cols, x, kh, kw, stride, pad)
+	p := convPass{
+		n: x.Shape[0], c: x.Shape[1], h: x.Shape[2], wd: x.Shape[3],
+		kh: kh, kw: kw, stride: stride, pad: pad,
+		x: x.Data, s1: x.Shape[0],
+	}
+	p.ho, p.wo = ConvOut(p.h, kh, stride, pad), ConvOut(p.wd, kw, stride, pad)
+	cols := New(p.patch(), p.n*p.plane())
+	p.cols = cols.Data
+	p.shard(legIm2col, p.patch(), float64(p.n*p.plane()))
 	return cols
 }
 
-// Im2colInto is Im2col with a caller-owned (pre-zeroed) patch matrix —
-// typically an arena-backed workspace reused across steps. (A fork
-// point, not a leaf kernel: it hands a per-call closure to the pool, so
-// it is deliberately not //mlperfvet:hotpath.)
-func Im2colInto(cols, x *Tensor, kh, kw, stride, pad int) {
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ho, wo := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
-	patch := c * kh * kw
-	parallel.ForCost(n*ho*wo, float64(patch), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			ox := r % wo
-			oy := (r / wo) % ho
-			in := r / (ho * wo)
-			iy0 := oy*stride - pad
-			ix0 := ox*stride - pad
-			row := cols.Data[r*patch : (r+1)*patch]
-			for ic := 0; ic < c; ic++ {
-				xBase := ((in*c + ic) * h) * wd
-				for ky := 0; ky < kh; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
+// forward computes p.out chunk by chunk: im2col, the GEMM with the
+// flattened filter bank, then the fold to NCHW with the bias.
+func (p *convPass) forward(al arena.Allocator) {
+	if al == nil {
+		al = convWorkspace
+	}
+	patch, plane, cs := p.patch(), p.plane(), p.chunk()
+	rowsMax := min(cs, p.n) * plane
+	cols := al.GetRaw(patch * rowsMax)
+	prod := al.GetRaw(p.f * rowsMax)
+	for p.s0 = 0; p.s0 < p.n; p.s0 = p.s1 {
+		p.s1 = min(p.s0+cs, p.n)
+		rows := p.rows()
+		p.cols, p.mat = cols[:patch*rows], prod[:p.f*rows]
+		p.shard(legIm2col, patch, float64(rows))
+		gemmOp{v: gemmNN, c: p.mat, a: p.w, b: p.cols, n: p.f, k: patch, m: rows, minFork: convForkWork}.run()
+		p.shard(legFold, (p.s1-p.s0)*p.f, float64(plane))
+	}
+	al.Put(prod)
+	al.Put(cols)
+}
+
+// backward computes p.db over the whole batch, then dw (into dwData, when
+// non-nil) and p.dx chunk by chunk. The first chunk's dw product lands in
+// dwData directly; each later chunk's lands in a partial that is added on,
+// so dw is reduced in ascending chunk order.
+func (p *convPass) backward(al arena.Allocator, dwData []float64) {
+	if al == nil {
+		al = convWorkspace
+	}
+	if p.db != nil {
+		p.shard(legBiasGrad, p.f, float64(p.n*p.plane()))
+	}
+	if p.dx == nil && dwData == nil {
+		return
+	}
+	patch, plane, cs := p.patch(), p.plane(), p.chunk()
+	rowsMax := min(cs, p.n) * plane
+	dprod := al.GetRaw(p.f * rowsMax)
+	var cols, part, dcols []float64
+	if dwData != nil {
+		cols = al.GetRaw(patch * rowsMax)
+		if p.n > cs {
+			part = al.GetRaw(p.f * patch)
+		}
+	}
+	if p.dx != nil {
+		dcols = al.GetRaw(patch * rowsMax)
+	}
+	for p.s0 = 0; p.s0 < p.n; p.s0 = p.s1 {
+		p.s1 = min(p.s0+cs, p.n)
+		rows := p.rows()
+		p.mat = dprod[:p.f*rows]
+		p.shard(legUnfold, (p.s1-p.s0)*p.f, float64(plane))
+		if dwData != nil {
+			p.cols = cols[:patch*rows]
+			p.shard(legIm2col, patch, float64(rows))
+			dst := dwData
+			if p.s0 > 0 {
+				dst = part
+			}
+			gemmOp{v: gemmTB, c: dst, a: p.mat, b: p.cols, n: p.f, k: rows, m: patch, minFork: convForkWork}.run()
+			if p.s0 > 0 {
+				for i, v := range part {
+					dwData[i] += v
+				}
+			}
+		}
+		if p.dx != nil {
+			p.dcols = dcols[:patch*rows]
+			gemmOp{v: gemmTA, c: p.dcols, a: p.w, b: p.mat, n: patch, k: p.f, m: rows, minFork: convForkWork}.run()
+			p.shard(legCol2im, (p.s1-p.s0)*p.c, float64(plane*p.kh*p.kw))
+		}
+	}
+	al.Put(dcols)
+	al.Put(part)
+	al.Put(cols)
+	al.Put(dprod)
+}
+
+// convLeg names one sharded leaf loop of a convolution pass.
+type convLeg uint8
+
+const (
+	legIm2col   convLeg = iota // chunk input → patch-matrix tap rows
+	legFold                    // chunk product → output planes (+ bias)
+	legUnfold                  // upstream-gradient planes → chunk dprod
+	legCol2im                  // chunk patch-matrix gradient → dx planes
+	legBiasGrad                // whole-batch dout → db, by filter
+)
+
+// shard runs one leg over [0, n) on the worker pool. A loop below
+// convForkWork runs inline and builds no closure — the warm serial
+// step stays at 0 allocs — and only the forking branch copies the pass
+// into the workers' closure, so the caller's pass never leaves its stack.
+func (p *convPass) shard(leg convLeg, n int, itemCost float64) {
+	if total := float64(n) * itemCost; total < convForkWork || !parallel.Worth(total) {
+		p.run(leg, 0, n)
+		return
+	}
+	q := *p
+	parallel.ForCost(n, itemCost, func(lo, hi int) { q.run(leg, lo, hi) })
+}
+
+// run dispatches indices [lo, hi) of one leg.
+//
+//mlperfvet:hotpath
+func (p *convPass) run(leg convLeg, lo, hi int) {
+	switch leg {
+	case legIm2col:
+		p.im2colTaps(lo, hi)
+	case legFold:
+		p.foldPlanes(lo, hi)
+	case legUnfold:
+		p.unfoldPlanes(lo, hi)
+	case legCol2im:
+		p.col2imPlanes(lo, hi)
+	case legBiasGrad:
+		p.biasGradFilters(lo, hi)
+	}
+}
+
+// im2colTaps writes tap rows [lo, hi) of the chunk's patch matrix: row
+// (ic, ky, kx) gets, at each output position of the chunk, the input value
+// under that tap. Every entry is written — padding as an explicit zero —
+// so the workspace needs no clearing.
+//
+//mlperfvet:hotpath
+func (p *convPass) im2colTaps(lo, hi int) {
+	x, stride, wd, wo, ho := p.x, p.stride, p.wd, p.wo, p.ho
+	rows, hw, khw := p.rows(), p.h*wd, p.kh*p.kw
+	for t := lo; t < hi; t++ {
+		ic, ky, kx := t/khw, t%khw/p.kw, t%p.kw
+		oxLo, oxHi := p.oxRange(kx)
+		dst := p.cols[t*rows : (t+1)*rows]
+		for li := 0; li < p.s1-p.s0; li++ {
+			xc := x[((p.s0+li)*p.c+ic)*hw : ((p.s0+li)*p.c+ic+1)*hw]
+			for oy := 0; oy < ho; oy++ {
+				seg := dst[(li*ho+oy)*wo : (li*ho+oy+1)*wo]
+				iy := oy*stride - p.pad + ky
+				if iy < 0 || iy >= p.h {
+					clear(seg)
+					continue
+				}
+				clear(seg[:oxLo])
+				clear(seg[oxHi:])
+				xr := xc[iy*wd : (iy+1)*wd]
+				if stride == 1 {
+					copy(seg[oxLo:oxHi], xr[oxLo+kx-p.pad:])
+					continue
+				}
+				for ox := oxLo; ox < oxHi; ox++ {
+					seg[ox] = xr[ox*stride+kx-p.pad]
+				}
+			}
+		}
+	}
+}
+
+// foldPlanes writes output planes [lo, hi) of the chunk — plane q is
+// (sample s0 + q/F, filter q%F) — from the chunk product, adding the bias.
+//
+//mlperfvet:hotpath
+func (p *convPass) foldPlanes(lo, hi int) {
+	plane, rows := p.plane(), p.rows()
+	for q := lo; q < hi; q++ {
+		li, of := q/p.f, q%p.f
+		dst := p.out[(p.s0*p.f+q)*plane : (p.s0*p.f+q+1)*plane]
+		src := p.mat[of*rows+li*plane : of*rows+(li+1)*plane]
+		if p.bias == nil {
+			copy(dst, src)
+			continue
+		}
+		bv := p.bias[of]
+		for i, v := range src {
+			dst[i] = v + bv
+		}
+	}
+}
+
+// unfoldPlanes copies upstream-gradient planes [lo, hi) of the chunk
+// (numbered as in foldPlanes) into the chunk's [F, rows] dprod.
+//
+//mlperfvet:hotpath
+func (p *convPass) unfoldPlanes(lo, hi int) {
+	plane, rows := p.plane(), p.rows()
+	for q := lo; q < hi; q++ {
+		li, of := q/p.f, q%p.f
+		copy(p.mat[of*rows+li*plane:of*rows+(li+1)*plane], p.dout[(p.s0*p.f+q)*plane:(p.s0*p.f+q+1)*plane])
+	}
+}
+
+// col2imPlanes writes dx planes [lo, hi) of the chunk — plane q is
+// (sample s0 + q/C, channel q%C): it clears the plane, then adds back
+// every tap row of that channel in ascending (ky, kx) order. Planes own
+// disjoint slices of dx, and each dx element receives at most one term
+// per tap.
+//
+//mlperfvet:hotpath
+func (p *convPass) col2imPlanes(lo, hi int) {
+	stride, wd, wo, ho := p.stride, p.wd, p.wo, p.ho
+	rows, plane, hw := p.rows(), p.plane(), p.h*wd
+	for q := lo; q < hi; q++ {
+		li, ic := q/p.c, q%p.c
+		dxp := p.dx[(p.s0*p.c+q)*hw : (p.s0*p.c+q+1)*hw]
+		clear(dxp)
+		for ky := 0; ky < p.kh; ky++ {
+			for kx := 0; kx < p.kw; kx++ {
+				oxLo, oxHi := p.oxRange(kx)
+				t := (ic*p.kh+ky)*p.kw + kx
+				src := p.dcols[t*rows+li*plane : t*rows+(li+1)*plane]
+				for oy := 0; oy < ho; oy++ {
+					iy := oy*stride - p.pad + ky
+					if iy < 0 || iy >= p.h {
 						continue
 					}
-					xRow := xBase + iy*wd
-					dst := (ic*kh + ky) * kw
-					for kx := 0; kx < kw; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= wd {
-							continue
+					dr := dxp[iy*wd : (iy+1)*wd]
+					g := src[oy*wo : (oy+1)*wo]
+					if stride == 1 {
+						d := dr[oxLo+kx-p.pad:]
+						for ox := oxLo; ox < oxHi; ox++ {
+							d[ox-oxLo] += g[ox]
 						}
-						row[dst+kx] = x.Data[xRow+ix]
+						continue
+					}
+					for ox := oxLo; ox < oxHi; ox++ {
+						dr[ox*stride+kx-p.pad] += g[ox]
 					}
 				}
 			}
 		}
-	})
-}
-
-// im2colWorkspace pools the patch-matrix and GEMM-product temporaries of
-// Conv2DIm2col across calls (goroutine-safe), so the GEMM formulation's
-// large workspaces are recycled instead of re-heap-allocated per call.
-var im2colWorkspace = arena.New()
-
-// Conv2DIm2col computes the same convolution as Conv2D via the im2col +
-// GEMM route: unfold the input, multiply by the flattened filter bank with
-// the (parallel) MatMulTransB kernel, and fold the product back to NCHW.
-// This trades memory for the dense-GEMM formulation most accelerator
-// backends use; results match Conv2D up to padding terms that contribute
-// exact zeros. Workspaces come from a shared pool; use Conv2DIm2colIn to
-// supply a caller-owned arena instead.
-func Conv2DIm2col(x, w, b *Tensor, stride, pad int) *Tensor {
-	return Conv2DIm2colIn(im2colWorkspace, x, w, b, stride, pad)
-}
-
-// Conv2DIm2colIn is Conv2DIm2col with its two large temporaries — the
-// im2col patch matrix and the GEMM product — drawn from and released back
-// to the given arena, so repeated convolutions recycle their workspaces
-// instead of growing the heap. Results are bit-identical to Conv2DIm2col.
-func Conv2DIm2colIn(al arena.Allocator, x, w, b *Tensor, stride, pad int) *Tensor {
-	if x.Rank() != 4 || w.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Conv2DIm2colIn requires rank-4 operands, got %v, %v", x.Shape, w.Shape))
 	}
-	n, c := x.Shape[0], x.Shape[1]
-	f, c2, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	if c != c2 {
-		panic(fmt.Sprintf("tensor: Conv2DIm2colIn channel mismatch %v vs %v", x.Shape, w.Shape))
-	}
-	ho, wo := ConvOut(x.Shape[2], kh, stride, pad), ConvOut(x.Shape[3], kw, stride, pad)
-	cols := NewIn(al, n*ho*wo, c*kh*kw)
-	Im2colInto(cols, x, kh, kw, stride, pad)
-	wmat := FromSlice(w.Data, f, c*kh*kw)
-	prod := NewIn(al, n*ho*wo, f)
-	MatMulTransBInto(prod, cols, wmat)
-	out := New(n, f, ho, wo)
-	plane := ho * wo
-	parallel.ForCost(n*f, float64(plane), func(p0, p1 int) {
-		for p := p0; p < p1; p++ {
-			in, of := p/f, p%f
-			bias := 0.0
-			if b != nil {
-				bias = b.Data[of]
-			}
-			dst := out.Data[p*plane : (p+1)*plane]
-			src := in * plane
-			for i := 0; i < plane; i++ {
-				dst[i] = prod.Data[(src+i)*f+of] + bias
-			}
-		}
-	})
-	cols.Release()
-	prod.Release()
-	return out
 }
 
-// Conv2DIm2colBackward computes the gradients of a convolution via the
-// im2col + GEMM formulation, on the blocked GEMM engine: with
-// cols = im2col(x) and dprod the [N·HO·WO, F] unfold of dout,
+// biasGradFilters writes db for filters [lo, hi): each is the row sum of
+// the whole batch's dprod, accumulated in ascending (sample, position)
+// order straight from dout, independent of the chunking.
 //
-//	dw = dprodᵀ·cols   (MatMulTransA — the packed engine's TA variant)
-//	dx = col2im(dprod·w̃) for the flattened filter bank w̃ [F, C·KH·KW]
-//	db = column sums of dprod
-//
-// This is the backward formulation accelerator backends run. The autograd
-// tape deliberately keeps the direct Conv2DBackward* kernels: gradients
-// here equal Conv2DBackward's only up to summation order (the GEMM
-// accumulates per-patch terms in a different association), so switching
-// the training path would change training bits and void the PR1–PR4
-// serial/DP/PP bit-identity baselines. This entry point is groundwork for
-// backends that adopt the GEMM route end to end. Every leg shards
-// deterministically — dprod by plane, the GEMMs by output tile, col2im by
-// sample, db by filter — so results are bit-identical at every worker
-// count. Workspaces come from the shared im2col pool; dx/dw/db are heap
-// tensors (an arena variant belongs with the backend that adopts this
-// path). db is nil when hasBias is false.
-func Conv2DIm2colBackward(x, w, dout *Tensor, stride, pad int, hasBias bool) (dx, dw, db *Tensor) {
-	n, c := x.Shape[0], x.Shape[1]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	ho, wo := dout.Shape[2], dout.Shape[3]
-	rows, patch, plane := n*ho*wo, c*kh*kw, ho*wo
-
-	cols := NewIn(im2colWorkspace, rows, patch)
-	Im2colInto(cols, x, kh, kw, stride, pad)
-
-	// dprod: transpose dout's [N,F,HO,WO] planes into im2col row order.
-	dprod := NewIn(im2colWorkspace, rows, f)
-	parallel.ForCost(n*f, float64(plane), func(p0, p1 int) {
-		for p := p0; p < p1; p++ {
-			in, of := p/f, p%f
-			src := dout.Data[p*plane : (p+1)*plane]
-			base := in * plane
-			for i, g := range src {
-				dprod.Data[(base+i)*f+of] = g
+//mlperfvet:hotpath
+func (p *convPass) biasGradFilters(lo, hi int) {
+	plane := p.plane()
+	for of := lo; of < hi; of++ {
+		s := 0.0
+		for in := 0; in < p.n; in++ {
+			for _, g := range p.dout[(in*p.f+of)*plane : (in*p.f+of+1)*plane] {
+				s += g
 			}
 		}
-	})
-
-	wmat := FromSlice(w.Data, f, patch)
-	dw = New(w.Shape...)
-	MatMulTransAInto(FromSlice(dw.Data, f, patch), dprod, cols)
-
-	dcols := NewIn(im2colWorkspace, rows, patch)
-	MatMulInto(dcols, dprod, wmat)
-
-	// col2im: scatter each patch-row gradient back onto its receptive
-	// field. Samples own disjoint slices of dx, and within a sample the
-	// (r, ic, ky, kx) order is fixed, so the scatter is deterministic.
-	dx = New(x.Shape...)
-	h, wd := x.Shape[2], x.Shape[3]
-	parallel.ForCost(n, float64(plane*patch), func(n0, n1 int) {
-		for in := n0; in < n1; in++ {
-			for r := in * plane; r < (in+1)*plane; r++ {
-				ox := r % wo
-				oy := (r / wo) % ho
-				iy0 := oy*stride - pad
-				ix0 := ox*stride - pad
-				row := dcols.Data[r*patch : (r+1)*patch]
-				for ic := 0; ic < c; ic++ {
-					xBase := ((in*c + ic) * h) * wd
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						xRow := xBase + iy*wd
-						src := (ic*kh + ky) * kw
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= wd {
-								continue
-							}
-							dx.Data[xRow+ix] += row[src+kx]
-						}
-					}
-				}
-			}
-		}
-	})
-
-	if hasBias {
-		db = New(f)
-		parallel.ForCost(f, float64(rows), func(f0, f1 int) {
-			for of := f0; of < f1; of++ {
-				s := 0.0
-				for r := 0; r < rows; r++ {
-					s += dprod.Data[r*f+of]
-				}
-				db.Data[of] = s
-			}
-		})
+		p.db[of] = s
 	}
-
-	cols.Release()
-	dprod.Release()
-	dcols.Release()
-	return dx, dw, db
 }
 
 // MaxPool2D computes max pooling over NCHW input with square window k and

@@ -80,76 +80,113 @@ const (
 // warm steady-state steps stage panels without touching the heap.
 var gemmPack = arena.New()
 
-// gemmInto computes the [n,m] product into c for the given variant,
-// choosing between the naive reference kernels (tiny or degenerate
-// shapes), a serial blocked run, and a 2-D tiled parallel blocked run.
-// All three produce bit-identical results, so the dispatch — and the
-// worker count — never changes the output bits.
-func gemmInto(v gemmVariant, c, a, b *Tensor, n, k, m int) {
-	if n == 0 || m == 0 {
-		return
-	}
-	work := n * k * m
-	// Narrow outputs (m < NR) stay on the naive kernels: every strip would
-	// pad to NR lanes and waste most of the micro-kernel. Short outputs
-	// (n < MR) do NOT opt out — the edge micro-kernel computes only the
-	// real rows, and ForTiles splits columns so even a 2-row product keeps
-	// the whole pool busy.
-	if k == 0 || m < gemmNR || work < gemmMinWork {
-		gemmNaive(v, c, a, b, n, k, m)
-		return
-	}
-	if !parallel.Worth(float64(work)) {
-		gemmTile(v, c, a, b, k, 0, n, 0, m)
-		return
-	}
-	parallel.ForTiles(n, m, float64(k), func(r0, r1, c0, c1 int) {
-		gemmTile(v, c, a, b, k, r0, r1, c0, c1)
-	})
+// gemmOp is one product C[n,m] = A·B as the engine sees it: the variant
+// and the raw row-major operand slices. The engine reads nothing else of
+// a tensor, and working on slices means a forked closure captures only
+// the data — never a caller's *Tensor header or shape array — so callers
+// may hand it stack-built views (the convolution's chunk matrices) and
+// stay at 0 allocs on the serial path.
+type gemmOp struct {
+	v       gemmVariant
+	c, a, b []float64
+	n, k, m int
+
+	// minFork is the least work (n·k·m) the product must carry before it
+	// forks the pool; 0 leaves the decision to parallel.Worth alone.
+	minFork int
 }
 
-// gemmNaive runs the retained reference kernels, sharding rows over the
-// pool only when the shape is worth forking for (the serial branch calls
-// the kernel directly so hot small-shape callers allocate no closure).
-func gemmNaive(v gemmVariant, c, a, b *Tensor, n, k, m int) {
-	if !parallel.Worth(float64(n * k * m)) {
-		gemmNaiveRows(v, c, a, b, 0, n)
+// fork reports whether a product of the given work shards over the pool.
+func (g gemmOp) fork(work int) bool {
+	return work >= g.minFork && parallel.Worth(float64(work))
+}
+
+// lda and ldb are the stored operands' row strides.
+func (g gemmOp) lda() int {
+	if g.v == gemmTA {
+		return g.n
+	}
+	return g.k
+}
+
+func (g gemmOp) ldb() int {
+	if g.v == gemmTB {
+		return g.k
+	}
+	return g.m
+}
+
+// gemmInto computes the [n,m] product of tensor operands into c.
+func gemmInto(v gemmVariant, c, a, b *Tensor, n, k, m int) {
+	gemmOp{v: v, c: c.Data, a: a.Data, b: b.Data, n: n, k: k, m: m}.run()
+}
+
+// run computes the product, choosing between the naive reference kernels
+// (tiny or degenerate shapes), a serial blocked run, and a 2-D tiled
+// parallel blocked run. All three produce bit-identical results, so the
+// dispatch — and the worker count — never changes the output bits.
+func (g gemmOp) run() {
+	if g.n == 0 || g.m == 0 {
 		return
 	}
-	parallel.ForCost(n, float64(k*m), func(lo, hi int) {
-		gemmNaiveRows(v, c, a, b, lo, hi)
-	})
+	work := g.n * g.k * g.m
+	// Narrow outputs (m < NR) stay on the naive kernels: every strip would
+	// pad to NR lanes and waste most of the micro-kernel. Short outputs
+	// (n < MR) do NOT opt out — the edge micro-kernel stores only the
+	// real rows, and ForTiles splits columns so even a 2-row product keeps
+	// the whole pool busy.
+	if g.k == 0 || g.m < gemmNR || work < gemmMinWork {
+		g.naive()
+		return
+	}
+	if !g.fork(work) {
+		g.tile(0, g.n, 0, g.m)
+		return
+	}
+	parallel.ForTiles(g.n, g.m, float64(g.k), g.tile)
+}
+
+// naive runs the retained reference kernels, sharding rows over the pool
+// only when the shape is worth forking for (the serial branch calls the
+// kernel directly so hot small-shape callers allocate no closure).
+func (g gemmOp) naive() {
+	if !g.fork(g.n * g.k * g.m) {
+		g.naiveRows(0, g.n)
+		return
+	}
+	parallel.ForCost(g.n, float64(g.k*g.m), g.naiveRows)
 }
 
 //mlperfvet:hotpath
-func gemmNaiveRows(v gemmVariant, c, a, b *Tensor, lo, hi int) {
-	switch v {
+func (g gemmOp) naiveRows(lo, hi int) {
+	switch g.v {
 	case gemmNN:
-		MatMulRows(c, a, b, lo, hi)
+		matMulRows(g.c, g.a, g.b, g.k, g.m, lo, hi)
 	case gemmTA:
-		MatMulTransARows(c, a, b, lo, hi)
+		matMulTransARows(g.c, g.a, g.b, g.n, g.k, g.m, lo, hi)
 	default:
-		MatMulTransBRows(c, a, b, lo, hi)
+		matMulTransBRows(g.c, g.a, g.b, g.k, g.m, lo, hi)
 	}
 }
 
-// gemmTile computes the output tile [r0, r1) × [c0, c1) of the blocked
+// tile computes the output tile [r0, r1) × [c0, c1) of the blocked
 // product. Tiles are independent — each worker of a ForTiles loop owns
 // one and draws its own pack buffers — and the depth (pc) loop runs in
 // ascending order inside the tile, so any tiling yields the serial bits.
 //
 //mlperfvet:hotpath
-func gemmTile(v gemmVariant, c, a, b *Tensor, k, r0, r1, c0, c1 int) {
-	ldc := c.Shape[1]
+func (g gemmOp) tile(r0, r1, c0, c1 int) {
+	v, k, ldc := g.v, g.k, g.m
 	if k == 0 {
 		for i := r0; i < r1; i++ {
-			row := c.Data[i*ldc+c0 : i*ldc+c1]
+			row := g.c[i*ldc+c0 : i*ldc+c1]
 			for j := range row {
 				row[j] = 0
 			}
 		}
 		return
 	}
+	lda, ldb := g.lda(), g.ldb()
 	// Pack buffers sized to this tile's largest panels (rounded up to
 	// whole micro-tiles), so small products draw small arena classes.
 	kcMax := min(gemmKC, k)
@@ -162,17 +199,17 @@ func gemmTile(v gemmVariant, c, a, b *Tensor, k, r0, r1, c0, c1 int) {
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			if v == gemmTB {
-				packBTrans(bbuf, b.Data, b.Shape[1], pc, kc, jc, nc)
+				packBTrans(bbuf, g.b, ldb, pc, kc, jc, nc)
 			} else {
-				packBNormal(bbuf, b.Data, b.Shape[1], pc, kc, jc, nc)
+				packBNormal(bbuf, g.b, ldb, pc, kc, jc, nc)
 			}
 			first := pc == 0
 			for ic := r0; ic < r1; ic += gemmMC {
 				mc := min(gemmMC, r1-ic)
 				if v == gemmTA {
-					packATrans(abuf, a.Data, a.Shape[1], ic, mc, pc, kc)
+					packATrans(abuf, g.a, lda, ic, mc, pc, kc)
 				} else {
-					packANormal(abuf, a.Data, a.Shape[1], ic, mc, pc, kc)
+					packANormal(abuf, g.a, lda, ic, mc, pc, kc)
 				}
 				for s := 0; s*gemmNR < nc; s++ {
 					nr := min(gemmNR, nc-s*gemmNR)
@@ -183,12 +220,12 @@ func gemmTile(v gemmVariant, c, a, b *Tensor, k, r0, r1, c0, c1 int) {
 						co := (ic+t*gemmMR)*ldc + jc + s*gemmNR
 						if mr == gemmMR && nr == gemmNR {
 							if gemmUseAsm {
-								microKernel4x8AVX2(&c.Data[co], ldc, &ap[0], &bp[0], kc, first)
+								microKernel4x8AVX2(&g.c[co], ldc, &ap[0], &bp[0], kc, first)
 							} else {
-								microKernel4x8(c.Data, co, ldc, ap, bp, kc, first)
+								microKernel4x8(g.c, co, ldc, ap, bp, kc, first)
 							}
 						} else {
-							microKernelEdge(c.Data, co, ldc, ap, bp, kc, mr, nr, first)
+							microKernelEdge(g.c, co, ldc, ap, bp, kc, mr, nr, first)
 						}
 					}
 				}
@@ -372,41 +409,27 @@ func microKernel4x8(cd []float64, co, ldc int, ap, bp []float64, kc int, first b
 }
 
 // microKernelEdge handles partial tiles at the right/bottom block edges:
-// it computes the full padded MR×NR tile (padded lanes accumulate zeros)
-// but loads and stores only the real mr×nr elements. Same ascending-depth
-// accumulation, so edge tiles match the serial bits too.
+// it stages the real mr×nr elements in a full MR×NR tile on the stack
+// (padding lanes zero), runs the full micro-kernel on it — the packed
+// panels are zero-padded to whole micro-tiles, so the padding lanes only
+// accumulate zeros — and stores back the real elements. Each real lane
+// sees the same ascending-depth operation sequence as in a full tile, so
+// edge tiles match the serial bits too.
 //
 //mlperfvet:hotpath
 func microKernelEdge(cd []float64, co, ldc int, ap, bp []float64, kc, mr, nr int, first bool) {
 	var acc [gemmMR * gemmNR]float64
 	if !first {
 		for r := 0; r < mr; r++ {
-			row := cd[co+r*ldc : co+r*ldc+nr]
-			for q, v := range row {
-				acc[r*gemmNR+q] = v
-			}
+			copy(acc[r*gemmNR:r*gemmNR+nr], cd[co+r*ldc:co+r*ldc+nr])
 		}
 	}
-	for p := 0; p < kc; p++ {
-		a := ap[p*gemmMR : p*gemmMR+gemmMR : p*gemmMR+gemmMR]
-		b := bp[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-		for r := 0; r < mr; r++ {
-			av := a[r]
-			row := acc[r*gemmNR : r*gemmNR+gemmNR : r*gemmNR+gemmNR]
-			row[0] += av * b[0]
-			row[1] += av * b[1]
-			row[2] += av * b[2]
-			row[3] += av * b[3]
-			row[4] += av * b[4]
-			row[5] += av * b[5]
-			row[6] += av * b[6]
-			row[7] += av * b[7]
-		}
+	if gemmUseAsm {
+		microKernel4x8AVX2(&acc[0], gemmNR, &ap[0], &bp[0], kc, first)
+	} else {
+		microKernel4x8(acc[:], 0, gemmNR, ap, bp, kc, first)
 	}
 	for r := 0; r < mr; r++ {
-		row := cd[co+r*ldc : co+r*ldc+nr]
-		for q := range row {
-			row[q] = acc[r*gemmNR+q]
-		}
+		copy(cd[co+r*ldc:co+r*ldc+nr], acc[r*gemmNR:r*gemmNR+nr])
 	}
 }

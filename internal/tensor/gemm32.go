@@ -85,7 +85,7 @@ func gemm32NaiveRows(v gemmVariant, c, a, b *F32, lo, hi int) {
 }
 
 // gemm32Tile computes the output tile [r0, r1) × [c0, c1) of the blocked
-// float32 product — the f64 gemmTile with the 8×8 micro-kernel.
+// float32 product — the f64 gemmOp.tile with the 8×8 micro-kernel.
 //
 //mlperfvet:hotpath
 func gemm32Tile(v gemmVariant, c, a, b *F32, k, r0, r1, c0, c1 int) {

@@ -21,8 +21,17 @@ func naiveRef(v gemmVariant, a, b *Tensor) *Tensor {
 		n, m = a.Shape[0], b.Shape[0]
 	}
 	c := New(n, m)
-	gemmNaiveRows(v, c, a, b, 0, n)
+	opOf(v, c, a, b).naiveRows(0, n)
 	return c
+}
+
+// opOf builds the engine's view of a product over tensor operands.
+func opOf(v gemmVariant, c, a, b *Tensor) gemmOp {
+	k := a.Shape[1]
+	if v == gemmTA {
+		k = a.Shape[0]
+	}
+	return gemmOp{v: v, c: c.Data, a: a.Data, b: b.Data, n: c.Shape[0], k: k, m: c.Shape[1]}
 }
 
 // engineCall runs the public entry point for a variant.
@@ -105,7 +114,7 @@ func TestGEMMParityExhaustive(t *testing.T) {
 	}
 }
 
-// TestGEMMTileForcedPacked drives gemmTile directly — bypassing the
+// TestGEMMTileForcedPacked drives gemmOp.tile directly — bypassing the
 // small-shape dispatch to the naive kernels — so the packed path and its
 // edge micro-kernels are exercised at dims the dispatcher would never
 // send them (0/1/partial tiles in every position), including arbitrary
@@ -121,7 +130,7 @@ func TestGEMMTileForcedPacked(t *testing.T) {
 			a, b := operands(vc.v, rng, n, k, m)
 			want := naiveRef(vc.v, a, b)
 			got := New(n, m)
-			gemmTile(vc.v, got, a, b, k, 0, n, 0, m)
+			opOf(vc.v, got, a, b).tile(0, n, 0, m)
 			sameBits(t, vc.name+"/forced", 1, got, want)
 
 			// An interior tile must reproduce exactly its rectangle and
@@ -130,7 +139,7 @@ func TestGEMMTileForcedPacked(t *testing.T) {
 				part := New(n, m)
 				part.Fill(math.Pi)
 				r0, r1, c0, c1 := 1, n-1, 1, m-1
-				gemmTile(vc.v, part, a, b, k, r0, r1, c0, c1)
+				opOf(vc.v, part, a, b).tile(r0, r1, c0, c1)
 				for i := 0; i < n; i++ {
 					for j := 0; j < m; j++ {
 						in := i >= r0 && i < r1 && j >= c0 && j < c1
@@ -164,7 +173,7 @@ func TestGEMMPortableKernelParity(t *testing.T) {
 			a, b := operands(vc.v, rng, n, k, m)
 			want := naiveRef(vc.v, a, b)
 			got := New(n, m)
-			gemmTile(vc.v, got, a, b, k, 0, n, 0, m)
+			opOf(vc.v, got, a, b).tile(0, n, 0, m)
 			sameBits(t, vc.name+"/portable", 1, got, want)
 		}
 	}

@@ -45,16 +45,22 @@ func MatMul(a, b *Tensor) *Tensor {
 //
 //mlperfvet:hotpath
 func MatMulRows(c, a, b *Tensor, lo, hi int) {
-	k, m := a.Shape[1], b.Shape[1]
+	matMulRows(c.Data, a.Data, b.Data, a.Shape[1], b.Shape[1], lo, hi)
+}
+
+// matMulRows is MatMulRows on raw slices: c [·,m] = a [·,k] · b [k,m].
+//
+//mlperfvet:hotpath
+func matMulRows(c, a, b []float64, k, m, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		cr := c.Data[i*m : (i+1)*m]
+		ar := a[i*k : (i+1)*k]
+		cr := c[i*m : (i+1)*m]
 		for j := range cr {
 			cr[j] = 0
 		}
 		for p := 0; p < k; p++ {
 			av := ar[p]
-			br := b.Data[p*m : (p+1)*m]
+			br := b[p*m : (p+1)*m]
 			for j, bv := range br {
 				cr[j] += av * bv
 			}
@@ -84,20 +90,26 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 //
 //mlperfvet:hotpath
 func MatMulTransARows(c, a, b *Tensor, lo, hi int) {
-	k, n := a.Shape[0], a.Shape[1]
-	m := b.Shape[1]
+	matMulTransARows(c.Data, a.Data, b.Data, a.Shape[1], a.Shape[0], b.Shape[1], lo, hi)
+}
+
+// matMulTransARows is MatMulTransARows on raw slices: c [n,m] = aᵀ·b for
+// a [k,n] and b [k,m].
+//
+//mlperfvet:hotpath
+func matMulTransARows(c, a, b []float64, n, k, m, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		cr := c.Data[i*m : (i+1)*m]
+		cr := c[i*m : (i+1)*m]
 		for j := range cr {
 			cr[j] = 0
 		}
 	}
 	for p := 0; p < k; p++ {
-		ar := a.Data[p*n : (p+1)*n]
-		br := b.Data[p*m : (p+1)*m]
+		ar := a[p*n : (p+1)*n]
+		br := b[p*m : (p+1)*m]
 		for i := lo; i < hi; i++ {
 			av := ar[i]
-			cr := c.Data[i*m : (i+1)*m]
+			cr := c[i*m : (i+1)*m]
 			for j, bv := range br {
 				cr[j] += av * bv
 			}
@@ -127,12 +139,19 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 //
 //mlperfvet:hotpath
 func MatMulTransBRows(c, a, b *Tensor, lo, hi int) {
-	k, m := a.Shape[1], b.Shape[0]
+	matMulTransBRows(c.Data, a.Data, b.Data, a.Shape[1], b.Shape[0], lo, hi)
+}
+
+// matMulTransBRows is MatMulTransBRows on raw slices: c [·,m] = a·bᵀ for
+// a [·,k] and b [m,k].
+//
+//mlperfvet:hotpath
+func matMulTransBRows(c, a, b []float64, k, m, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		cr := c.Data[i*m : (i+1)*m]
+		ar := a[i*k : (i+1)*k]
+		cr := c[i*m : (i+1)*m]
 		for j := 0; j < m; j++ {
-			br := b.Data[j*k : (j+1)*k]
+			br := b[j*k : (j+1)*k]
 			s := 0.0
 			for p := 0; p < k; p++ {
 				s += ar[p] * br[p]

@@ -97,15 +97,15 @@ func TestConv2DBackwardParallelBitIdentical(t *testing.T) {
 	x := Randn(rng, 1, 2, 3, 16, 16)
 	w := Randn(rng, 1, 8, 3, 3, 3)
 	dout := Randn(rng, 1, 2, 8, 16, 16)
-	sparsify(rng, dout) // exercise the g == 0 skip under sharding
+	sparsify(rng, dout) // exact-zero upstream terms under sharding
 	var sdx, sdw, sdb *Tensor
-	withWorkers(t, 1, func() { sdx, sdw, sdb = Conv2DBackward(x, w, dout, 1, 1, true) })
+	withWorkers(t, 1, func() { sdx, sdw, sdb = convBackward(x, w, dout, 1, 1, true) })
 	for _, wk := range workerCounts {
 		withWorkers(t, wk, func() {
-			dx, dw, db := Conv2DBackward(x, w, dout, 1, 1, true)
-			sameBits(t, "Conv2DBackward/dx", wk, dx, sdx)
-			sameBits(t, "Conv2DBackward/dw", wk, dw, sdw)
-			sameBits(t, "Conv2DBackward/db", wk, db, sdb)
+			dx, dw, db := convBackward(x, w, dout, 1, 1, true)
+			sameBits(t, "Conv2DBackwardInto/dx", wk, dx, sdx)
+			sameBits(t, "Conv2DBackwardInto/dw", wk, dw, sdw)
+			sameBits(t, "Conv2DBackwardInto/db", wk, db, sdb)
 		})
 	}
 }
@@ -116,26 +116,29 @@ func TestConv2DBackwardNoBiasParallel(t *testing.T) {
 	w := Randn(rng, 1, 6, 2, 3, 3)
 	dout := Randn(rng, 1, 1, 6, 12, 12)
 	var sdx, sdw *Tensor
-	withWorkers(t, 1, func() { sdx, sdw, _ = Conv2DBackward(x, w, dout, 1, 1, false) })
+	withWorkers(t, 1, func() { sdx, sdw, _ = convBackward(x, w, dout, 1, 1, false) })
 	withWorkers(t, 4, func() {
-		dx, dw, db := Conv2DBackward(x, w, dout, 1, 1, false)
+		dx, dw, db := convBackward(x, w, dout, 1, 1, false)
 		if db != nil {
 			t.Fatal("db must stay nil without bias")
 		}
-		sameBits(t, "Conv2DBackward/dx", 4, dx, sdx)
-		sameBits(t, "Conv2DBackward/dw", 4, dw, sdw)
+		sameBits(t, "Conv2DBackwardInto/dx", 4, dx, sdx)
+		sameBits(t, "Conv2DBackwardInto/dw", 4, dw, sdw)
 	})
 }
 
+// TestIm2colMatchesDirectConv holds the im2col + GEMM convolution to the
+// elementwise (direct) reference on a strided, padded, biased shape, at
+// one and four workers.
 func TestIm2colMatchesDirectConv(t *testing.T) {
 	rng := NewRNG(13)
 	x := Randn(rng, 1, 2, 3, 9, 9)
 	w := Randn(rng, 1, 5, 3, 3, 3)
 	b := Randn(rng, 1, 5)
+	direct := conv2DNaiveRef(x, w, b, 2, 1)
 	for _, wk := range []int{1, 4} {
 		withWorkers(t, wk, func() {
-			direct := Conv2D(x, w, b, 2, 1)
-			gemm := Conv2DIm2col(x, w, b, 2, 1)
+			gemm := Conv2D(x, w, b, 2, 1)
 			if len(direct.Data) != len(gemm.Data) {
 				t.Fatalf("workers=%d: size mismatch", wk)
 			}
@@ -150,8 +153,9 @@ func TestIm2colMatchesDirectConv(t *testing.T) {
 }
 
 func TestIm2colPatchLayout(t *testing.T) {
-	// 1x1 input channel, 3x3 input, 2x2 kernel, no padding: row 0 must be
-	// the top-left window in (ky, kx) order.
+	// 1x1 input channel, 3x3 input, 2x2 kernel, no padding: row 0 is tap
+	// (ky, kx) = (0, 0) at the four output positions in raster order —
+	// the top-left corner of each window.
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 1, 3, 3)
 	cols := Im2col(x, 2, 2, 1, 0)
 	if cols.Shape[0] != 4 || cols.Shape[1] != 4 {
@@ -167,5 +171,17 @@ func TestIm2colPatchLayout(t *testing.T) {
 	colsPad := Im2col(x, 3, 3, 1, 1)
 	if colsPad.Data[0] != 0 {
 		t.Fatal("padded corner of row 0 must be zero")
+	}
+	// A 1x3 kernel over the 3x3 input has 3 taps and 3 output positions,
+	// so the layout is visible: row kx lists column kx of every input row
+	// (tap-major), not the window of one output position.
+	taps := Im2col(x, 1, 3, 1, 0)
+	if taps.Shape[0] != 3 || taps.Shape[1] != 3 {
+		t.Fatalf("1x3 im2col shape %v, want [3 3]", taps.Shape)
+	}
+	for i, v := range []float64{1, 4, 7, 2, 5, 8, 3, 6, 9} {
+		if taps.Data[i] != v {
+			t.Fatalf("1x3 im2col = %v, want tap rows [1 4 7] [2 5 8] [3 6 9]", taps.Data)
+		}
 	}
 }
