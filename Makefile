@@ -81,15 +81,16 @@ bench:
 # any steady-state step benchmark (BenchmarkStepAllocs* for serial/DP,
 # BenchmarkStepPipeline* for PP and hybrid DP×PP), GEMM kernel benchmark
 # (BenchmarkGEMM*, incl. the naive references), warm serving-step
-# benchmark (BenchmarkServe*), or serial convolution benchmark
+# benchmark (BenchmarkServe*), serial convolution benchmark
 # (BenchmarkConv2D{Forward,Backward}Serial*; the parallel variants fork
-# goroutines, which allocate) reports a nonzero allocs/op — the
+# goroutines, which allocate) or warm Transformer greedy decode
+# (BenchmarkTransformerGreedyDecode) reports a nonzero allocs/op — the
 # allocation-free hot-path regression gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(Step(Allocs|Pipeline)|GEMM|Serve|Conv2D(Forward|Backward)Serial)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkGEMM*/BenchmarkServe*/BenchmarkConv2D{Forward,Backward}Serial* report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	@awk '/^Benchmark(Step(Allocs|Pipeline)|GEMM|Serve|Conv2D(Forward|Backward)Serial|TransformerGreedyDecode)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkGEMM*/BenchmarkServe*/BenchmarkConv2D{Forward,Backward}Serial*/BenchmarkTransformerGreedyDecode report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
 
 # Pipeline-only slice of bench-smoke: run just the pipeline step benchmarks
 # and apply the same nonzero-alloc gate (fast local check for PP changes).

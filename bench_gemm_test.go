@@ -177,3 +177,36 @@ func BenchmarkStepTransformerPP4(b *testing.B) {
 		eng.StepNext()
 	}
 }
+
+// --- Transformer evaluation: batched greedy decode ---
+
+// BenchmarkTransformerGreedyDecode times one warm batched greedy decode of
+// the 128 validation sentences (Translation.Translate, the hot path of
+// Evaluate) on a 1-worker pool. The model is trained two epochs first, so
+// sentences stop at EOS at mixed lengths as they do in a run (tokens/op
+// reports the decoded length). The bench-smoke gate holds it at 0
+// allocs/op.
+func BenchmarkTransformerGreedyDecode(b *testing.B) {
+	withPoolWorkers(b, 1)
+	ds := datasets.GenerateMT(datasets.DefaultMTConfig())
+	w := models.NewTranslation(ds, models.DefaultTransformerHParams(), 1)
+	for e := 0; e < 2; e++ {
+		w.TrainEpoch()
+	}
+	srcs := make([][]int, len(ds.Val))
+	for i, p := range ds.Val {
+		srcs[i] = p.Src
+	}
+	tokens := 0
+	for _, out := range w.Translate(srcs) { // allocates the decoder's buffers
+		tokens += len(out)
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Translate(srcs)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(tokens), "tokens/op")
+}

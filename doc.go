@@ -39,7 +39,8 @@
 //	                      tapes: Reset + slot reuse keep warm steps alloc-free;
 //	                      per-tape compute dtype stages MatMul operands in
 //	                      f32/bf16, BackwardScaled seeds the loss scale)
-//	internal/nn         — layer library (conv, BN, LSTM, attention, ...)
+//	internal/nn         — layer library (conv, BN, LSTM, attention, ...) and
+//	                      its tape-free forward kernels (ApplyInto, Attend)
 //	internal/opt        — SGD (both §2.2.4 momentum forms), Adam, LARS, schedules;
 //	                      GradScaled lets mixed precision divide the loss
 //	                      scale out inside the update loop
@@ -50,7 +51,8 @@
 //	internal/data       — input pipeline + §3.2.1 stage rules
 //	internal/datasets   — synthetic stand-ins for ImageNet/COCO/WMT/MovieLens
 //	internal/metrics    — top-1, mAP, BLEU, HR@10, move match
-//	internal/models     — the 7 benchmark models
+//	internal/models     — the 7 benchmark models; Transformer evaluation runs a
+//	                      batched, KV-cached, tape-free greedy decoder
 //	internal/dist       — synchronous data-parallel training engine (K worker
 //	                      replicas, deterministic chunked ring all-reduce;
 //	                      bit-identical across worker counts)

@@ -6,24 +6,19 @@ import (
 	"repro/internal/tensor"
 )
 
-func reluFn(v float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return 0
-}
-
 func sigmoidFn(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // ReLU returns max(0, a) elementwise.
 func ReLU(a *Var) *Var {
 	tp := tapeOf(a)
 	if tp == nil {
-		return constResult(tensor.Apply(a.Value, reluFn))
+		val := tensor.New(a.Value.Shape...)
+		tensor.ReLUInto(val, a.Value)
+		return constResult(val)
 	}
 	nd := tp.node(reluBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
-	tensor.ApplyInto(out.Value, a.Value, reluFn)
+	tensor.ReLUInto(out.Value, a.Value)
 	return out
 }
 
@@ -133,22 +128,7 @@ func SoftmaxRows(a *Var) *Var {
 func softmaxRows(dst, a *tensor.Tensor) {
 	n, m := a.Shape[0], a.Shape[1]
 	for i := 0; i < n; i++ {
-		row := a.Data[i*m : (i+1)*m]
-		mx := row[0]
-		for _, v := range row[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		s := 0.0
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			dst.Data[i*m+j] = e
-			s += e
-		}
-		for j := 0; j < m; j++ {
-			dst.Data[i*m+j] /= s
-		}
+		tensor.SoftmaxRow(dst.Data[i*m:(i+1)*m], a.Data[i*m:(i+1)*m])
 	}
 }
 

@@ -123,22 +123,13 @@ func AddRowVec(a, b *Var) *Var {
 	tp := tapeOf(a, b)
 	if tp == nil {
 		val := tensor.New(n, m)
-		addRowVec(val, a.Value, b.Value)
+		tensor.AddRowVecInto(val, a.Value, b.Value)
 		return constResult(val)
 	}
 	nd := tp.node(addRowVecBack, a, b, nil)
 	out := tp.result(nd, n, m)
-	addRowVec(out.Value, a.Value, b.Value)
+	tensor.AddRowVecInto(out.Value, a.Value, b.Value)
 	return out
-}
-
-func addRowVec(dst, a, b *tensor.Tensor) {
-	n, m := a.Shape[0], a.Shape[1]
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			dst.Data[i*m+j] = a.Data[i*m+j] + b.Data[j]
-		}
-	}
 }
 
 //mlperfvet:hotpath

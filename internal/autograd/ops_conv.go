@@ -286,25 +286,8 @@ func LayerNorm(x, gamma, beta *Var, eps float64) *Var {
 		val = tensor.New(n, m)
 	}
 	for i := 0; i < n; i++ {
-		row := x.Value.Data[i*m : (i+1)*m]
-		mu := 0.0
-		for _, v := range row {
-			mu += v
-		}
-		mu /= float64(m)
-		va := 0.0
-		for _, v := range row {
-			d := v - mu
-			va += d * d
-		}
-		va /= float64(m)
-		is := 1 / math.Sqrt(va+eps)
-		invStd[i] = is
-		for j, v := range row {
-			xh := (v - mu) * is
-			xhat[i*m+j] = xh
-			val.Data[i*m+j] = gamma.Value.Data[j]*xh + beta.Value.Data[j]
-		}
+		invStd[i] = tensor.LayerNormRow(val.Data[i*m:(i+1)*m], xhat[i*m:(i+1)*m],
+			x.Value.Data[i*m:(i+1)*m], gamma.Value.Data, beta.Value.Data, eps)
 	}
 	if tp == nil {
 		return constResult(val)

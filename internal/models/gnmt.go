@@ -179,39 +179,50 @@ func (w *RNNTranslation) TrainEpoch() float64 {
 	return totalLoss / float64(n)
 }
 
-// GreedyDecode translates one source sentence by greedy decoding.
-func (w *RNNTranslation) GreedyDecode(src []int) []int {
-	padded := make([]int, w.srcLen)
-	copy(padded, src)
-	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, w.rng)
-	encOuts := w.Net.Encode(ctx, [][]int{padded})
-	states := w.Net.Decoder.ZeroState(1)
-	cur := datasets.BOS
-	var out []int
-	for t := 0; t < w.tgtLen; t++ {
+// translate greedy-decodes every source sentence in lockstep on one
+// tape: one batched Encode, then DecodeStep over all sentences at once,
+// each sentence's output ending at EOS (finished sentences keep stepping
+// until the batch is done, their logits ignored). Every GNMT op is
+// row-wise, so a sentence's tokens do not depend on its batch-mates.
+func (w *RNNTranslation) translate(srcs [][]int) [][]int {
+	padded := make([][]int, len(srcs))
+	for i, src := range srcs {
+		padded[i] = make([]int, w.srcLen)
+		copy(padded[i], src)
+	}
+	ctx := nn.NewCtx(autograd.NewTape(), false, w.rng)
+	encOuts := w.Net.Encode(ctx, padded)
+	states := w.Net.Decoder.ZeroState(len(srcs))
+	cur := make([]int, len(srcs))
+	for i := range cur {
+		cur[i] = datasets.BOS
+	}
+	out := make([][]int, len(srcs))
+	done := make([]bool, len(srcs))
+	live := len(srcs)
+	for t := 0; t < w.tgtLen && live > 0; t++ {
 		var logits *autograd.Var
-		logits, states = w.Net.DecodeStep(ctx, []int{cur}, states, encOuts)
-		next := argmaxRow(logits.Value, 0)
-		if next == datasets.EOS {
-			break
+		logits, states = w.Net.DecodeStep(ctx, cur, states, encOuts)
+		for i := range cur {
+			if done[i] {
+				continue
+			}
+			next := argmaxRow(logits.Value, i)
+			if next == datasets.EOS {
+				done[i] = true
+				live--
+				continue
+			}
+			out[i] = append(out[i], next)
+			cur[i] = next
 		}
-		out = append(out, next)
-		cur = next
 	}
 	return out
 }
 
-// Evaluate implements Workload: corpus BLEU with greedy decoding.
+// Evaluate implements Workload: corpus BLEU with greedy decoding, all
+// validation sentences in one batch.
 func (w *RNNTranslation) Evaluate() float64 {
-	var cands, refs [][]int
-	for _, p := range w.DS.Val {
-		cands = append(cands, w.GreedyDecode(p.Src))
-		ref := append([]int(nil), p.Tgt...)
-		if len(ref) > 0 && ref[len(ref)-1] == datasets.EOS {
-			ref = ref[:len(ref)-1]
-		}
-		refs = append(refs, ref)
-	}
-	return metrics.BLEU(cands, refs)
+	srcs, refs := mtValidation(w.DS)
+	return metrics.BLEU(w.translate(srcs), refs)
 }

@@ -162,6 +162,9 @@ type Translation struct {
 
 	// Reused microbatch id buffers (MicrobatchLoss).
 	mbSrc, mbDec, mbLab []int
+
+	// The batched greedy decoder (Evaluate, Translate).
+	dec *greedyDecoder
 }
 
 // mtOptimizer builds the translation benchmark optimizer for a parameter
@@ -230,30 +233,26 @@ func (w *Translation) TrainEpoch() float64 {
 	return totalLoss / float64(n)
 }
 
-// GreedyDecode translates one source sentence by greedy argmax decoding.
-func (w *Translation) GreedyDecode(src []int) []int {
-	padded := make([]int, w.srcLen)
-	copy(padded, src)
-	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, w.rng)
-	memory := w.Net.Encode(ctx, [][]int{padded})
-	decIn := make([]int, w.tgtLen)
-	decIn[0] = datasets.BOS
-	var out []int
-	for t := 0; t < w.tgtLen; t++ {
-		logits := w.Net.Decode(ctx, [][]int{decIn}, memory, w.srcLen)
-		next := argmaxRow(logits.Value, t)
-		if next == datasets.EOS {
-			break
-		}
-		out = append(out, next)
-		if t+1 < w.tgtLen {
-			decIn[t+1] = next
-		}
-	}
-	return out
+// Translate greedy-decodes every source sentence in one tape-free batch
+// (see greedyDecoder) and returns each sentence's tokens before EOS. The
+// returned slices alias the decoder's buffers and stay valid until the
+// next call.
+func (w *Translation) Translate(srcs [][]int) [][]int {
+	return w.decoder(len(srcs)).decode(srcs, nil)
 }
 
+// decoder returns the workload's greedy decoder, (re)allocating it when a
+// batch of n sentences does not fit.
+func (w *Translation) decoder(n int) *greedyDecoder {
+	if w.dec == nil || w.dec.n < n {
+		w.dec = newGreedyDecoder(w.Net, w.HP.FF, w.srcLen, w.tgtLen, n)
+	}
+	return w.dec
+}
+
+// argmaxRow returns the index of the first largest element of row.
+//
+//mlperfvet:hotpath
 func argmaxRow(t *tensor.Tensor, row int) int {
 	m := t.Shape[1]
 	best, bi := t.Data[row*m], 0
@@ -266,17 +265,23 @@ func argmaxRow(t *tensor.Tensor, row int) int {
 }
 
 // Evaluate implements Workload: corpus BLEU on the validation split with
-// greedy decoding.
+// greedy decoding, all sentences in one batch.
 func (w *Translation) Evaluate() float64 {
-	var cands, refs [][]int
-	for _, p := range w.DS.Val {
-		cands = append(cands, w.GreedyDecode(p.Src))
-		ref := append([]int(nil), p.Tgt...)
-		// Strip EOS from the reference for BLEU.
-		if len(ref) > 0 && ref[len(ref)-1] == datasets.EOS {
-			ref = ref[:len(ref)-1]
+	srcs, refs := mtValidation(w.DS)
+	return metrics.BLEU(w.Translate(srcs), refs)
+}
+
+// mtValidation returns the validation split's source sentences and their
+// references with EOS stripped, for BLEU.
+func mtValidation(ds *datasets.MTDataset) (srcs, refs [][]int) {
+	srcs = make([][]int, len(ds.Val))
+	refs = make([][]int, len(ds.Val))
+	for i, p := range ds.Val {
+		srcs[i] = p.Src
+		refs[i] = p.Tgt
+		if n := len(p.Tgt); n > 0 && p.Tgt[n-1] == datasets.EOS {
+			refs[i] = p.Tgt[:n-1]
 		}
-		refs = append(refs, ref)
 	}
-	return metrics.BLEU(cands, refs)
+	return srcs, refs
 }

@@ -84,6 +84,53 @@ func (m *MultiHeadAttention) Forward(ctx *Ctx, q, kv *autograd.Var, b, tq, tk in
 	return m.Wo.Forward(ctx, out)
 }
 
+// Attend is attention's tape-free core for cached keys and values. Each
+// of the nq query rows of q attends over the first nk rows of k and v,
+// and the per-head contexts land side by side in the matching row of
+// ctx: the value Forward hands its output projection Wo. q, k and v are
+// rows of one sequence, already projected by Wq, Wk and Wv; rows are
+// DModel wide. scores is a workspace of at least nk floats.
+//
+// The result equals Forward's rows bit for bit. A score row is the
+// ascending-k dot product scaled by 1/sqrt(dh), as in the GEMM, and the
+// context sums attention-weighted values in ascending key order. For a
+// causal row t, pass nk = t+1: Forward's −1e9 mask makes exp underflow to
+// exactly 0 on later keys, so its softmax sum and weighted values only
+// add exact zeros there.
+//
+//mlperfvet:hotpath
+func (m *MultiHeadAttention) Attend(ctx, q, k, v []float64, nq, nk int, scores []float64) {
+	d := m.DModel
+	dh := d / m.Heads
+	scale := 1 / math.Sqrt(float64(dh))
+	p := scores[:nk]
+	for i := 0; i < nq; i++ {
+		for h := 0; h < m.Heads; h++ {
+			lo := h * dh
+			qh := q[i*d+lo : i*d+lo+dh]
+			for j := range p {
+				kh := k[j*d+lo : j*d+lo+dh]
+				s := 0.0
+				for c, qv := range qh {
+					s += qv * kh[c]
+				}
+				p[j] = s * scale
+			}
+			tensor.SoftmaxRow(p, p)
+			out := ctx[i*d+lo : i*d+lo+dh]
+			for c := range out {
+				out[c] = 0
+			}
+			for j, pj := range p {
+				vh := v[j*d+lo : j*d+lo+dh]
+				for c, vv := range vh {
+					out[c] += pj * vv
+				}
+			}
+		}
+	}
+}
+
 // Params implements Module.
 func (m *MultiHeadAttention) Params() []*autograd.Param {
 	return CollectParams(m.Wq, m.Wk, m.Wv, m.Wo)

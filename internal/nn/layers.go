@@ -39,6 +39,19 @@ func (l *Linear) Forward(ctx *Ctx, x *autograd.Var) *autograd.Var {
 	return y
 }
 
+// ApplyInto evaluates the layer on x [n, in] into y [n, out] with no
+// tape, reading the parameters' current values. Each row of y equals the
+// same row of Forward's value bit for bit at any n: the GEMM sums every
+// output element in ascending k whatever the shape. y must not alias x.
+//
+//mlperfvet:hotpath
+func (l *Linear) ApplyInto(y, x *tensor.Tensor) {
+	tensor.MatMulInto(y, x, l.W.Value)
+	if l.B != nil {
+		tensor.AddRowVecInto(y, y, l.B.Value)
+	}
+}
+
 // Params implements Module.
 func (l *Linear) Params() []*autograd.Param {
 	if l.B == nil {
@@ -137,6 +150,17 @@ func NewLayerNorm(name string, m int) *LayerNorm {
 // Forward normalizes x [n, m].
 func (l *LayerNorm) Forward(ctx *Ctx, x *autograd.Var) *autograd.Var {
 	return autograd.LayerNorm(x, ctx.Tape.Watch(l.Gamma), ctx.Tape.Watch(l.Beta), l.Eps)
+}
+
+// ApplyInto normalizes x [n, m] into y with no tape, through the same row
+// kernel as Forward (y may alias x).
+//
+//mlperfvet:hotpath
+func (l *LayerNorm) ApplyInto(y, x *tensor.Tensor) {
+	m := x.Shape[1]
+	for i := 0; i < len(x.Data); i += m {
+		tensor.LayerNormRow(y.Data[i:i+m], nil, x.Data[i:i+m], l.Gamma.Value.Data, l.Beta.Value.Data, l.Eps)
+	}
 }
 
 // Params implements Module.

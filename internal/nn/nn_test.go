@@ -288,3 +288,78 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 		t.Fatalf("eval BN: got %v want %v", y.Value.Data[0], want)
 	}
 }
+
+// bitsEqual reports whether two float slices hold identical bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The tape-free kernels must reproduce the tape layers' values bit for
+// bit, for a row alone as well as for a full matrix.
+func TestApplyIntoMatchesForward(t *testing.T) {
+	rng := tensor.NewRNG(11)
+	x := tensor.Randn(rng, 1, 5, 6)
+	l := NewLinear("l", 6, 4, true, rng)
+	l.B.Value = tensor.Randn(rng, 1, 4)
+	want := l.Forward(ctx(false), autograd.Const(x)).Value
+	y := tensor.New(5, 4)
+	l.ApplyInto(y, x)
+	if !bitsEqual(y.Data, want.Data) {
+		t.Fatal("Linear.ApplyInto differs from Forward")
+	}
+	row := tensor.New(1, 4)
+	l.ApplyInto(row, tensor.FromSlice(x.Data[2*6:3*6], 1, 6))
+	if !bitsEqual(row.Data, want.Data[2*4:3*4]) {
+		t.Fatal("Linear.ApplyInto on one row differs from Forward's row")
+	}
+
+	ln := NewLayerNorm("ln", 6)
+	ln.Gamma.Value = tensor.Randn(rng, 1, 6)
+	wantLN := ln.Forward(ctx(false), autograd.Const(x)).Value
+	yLN := x.Clone()
+	ln.ApplyInto(yLN, yLN)
+	if !bitsEqual(yLN.Data, wantLN.Data) {
+		t.Fatal("LayerNorm.ApplyInto differs from Forward")
+	}
+}
+
+// Attend over cached keys/values equals Forward's causal rows (nk = t+1)
+// and its full rows (nk = tk), per sequence of a packed batch.
+func TestAttendMatchesForward(t *testing.T) {
+	rng := tensor.NewRNG(12)
+	const b, tq, d = 2, 5, 8
+	m := NewMultiHeadAttention("a", d, 2, rng)
+	x := tensor.Randn(rng, 1, b*tq, d)
+	q, k, v := tensor.New(b*tq, d), tensor.New(b*tq, d), tensor.New(b*tq, d)
+	m.Wq.ApplyInto(q, x)
+	m.Wk.ApplyInto(k, x)
+	m.Wv.ApplyInto(v, x)
+	for _, causal := range []bool{false, true} {
+		want := m.Forward(ctx(false), autograd.Const(x), autograd.Const(x), b, tq, tq, causal).Value
+		att, got := tensor.New(b*tq, d), tensor.New(b*tq, d)
+		scores := make([]float64, tq)
+		for s := 0; s < b; s++ {
+			seq := s * tq * d
+			for i := 0; i < tq; i++ {
+				nk := tq
+				if causal {
+					nk = i + 1
+				}
+				r := seq + i*d
+				m.Attend(att.Data[r:r+d], q.Data[r:r+d], k.Data[seq:], v.Data[seq:], 1, nk, scores)
+			}
+		}
+		m.Wo.ApplyInto(got, att)
+		if !bitsEqual(got.Data, want.Data) {
+			t.Fatalf("causal=%v: Attend + Wo differs from Forward", causal)
+		}
+	}
+}
