@@ -113,8 +113,8 @@ func BenchmarkGEMMNaiveShortWide(b *testing.B)  { benchGEMMNaiveShape(b, 32, 64,
 //
 // The Transformer is the workload whose short-tall GEMM shapes the 2-D
 // tile scheduler targets; these benchmarks give the README performance
-// table its translation rows. (Not part of the 0-alloc awk gate, which
-// covers BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkGEMM*.)
+// table its translation rows. The bench-smoke gate holds all three at 0
+// allocs/op.
 
 func benchStepTransformerDP(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)

@@ -37,10 +37,13 @@
 //	                      patch budget; F32 storage + bf16 rounding
 //	internal/autograd   — tape-based reverse-mode autodiff (pooled, replayable
 //	                      tapes: Reset + slot reuse keep warm steps alloc-free;
-//	                      per-tape compute dtype stages MatMul operands in
-//	                      f32/bf16, BackwardScaled seeds the loss scale)
+//	                      per-tape compute dtype stages MatMul and
+//	                      Attention operands in f32/bf16, BackwardScaled
+//	                      seeds the loss scale; multi-head attention is one
+//	                      fused node, Attention, over every sentence and head)
 //	internal/nn         — layer library (conv, BN, LSTM, attention, ...) and
-//	                      its tape-free forward kernels (ApplyInto, Attend)
+//	                      its tape-free forward kernels (ApplyInto, Attend);
+//	                      positional tables built once per model (Positional)
 //	internal/opt        — SGD (both §2.2.4 momentum forms), Adam, LARS, schedules;
 //	                      GradScaled lets mixed precision divide the loss
 //	                      scale out inside the update loop

@@ -163,6 +163,22 @@ func TestGradSoftmaxRows(t *testing.T) {
 	})
 }
 
+func TestGradAttention(t *testing.T) {
+	// Self-attention (causal or not) and cross-attention (tq ≠ tk), two
+	// sentences, two heads of width 3.
+	for _, c := range []struct {
+		tq, tk int
+		causal bool
+	}{{4, 4, false}, {4, 4, true}, {3, 5, false}} {
+		const b, heads, d = 2, 2, 6
+		inputs := []*tensor.Tensor{randT(60, b*c.tq, d), randT(61, b*c.tk, d), randT(62, b*c.tk, d)}
+		w := randT(63, b*c.tq, d)
+		gradCheck(t, "Attention", inputs, func(tp *Tape, v []*Var) *Var {
+			return Sum(Mul(Attention(v[0], v[1], v[2], b, c.tq, c.tk, heads, c.causal), Const(w)))
+		})
+	}
+}
+
 func TestGradDropout(t *testing.T) {
 	gradCheck(t, "Dropout", []*tensor.Tensor{randT(44, 8)}, func(tp *Tape, v []*Var) *Var {
 		// Fresh RNG with the same seed each call keeps the mask fixed.

@@ -32,9 +32,9 @@ type node struct {
 	idx       []int     // pooled ints: labels, gather indices, argmax
 	buf, buf2 []float64 // pooled floats: xhat, masks, probs, saved stats
 
-	i0, i1 int
-	f0     float64
-	flag   bool
+	i0, i1, i2 int
+	f0         float64
+	flag       bool
 
 	tape *Tape
 }

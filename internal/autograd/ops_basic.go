@@ -208,7 +208,8 @@ func Reshape(a *Var, shape ...int) *Var {
 		return constResult(a.Value.Reshape(shape...))
 	}
 	if numel(shape) != len(a.Value.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", a.Value.Shape, shape))
+		// Format a copy so shape does not escape (see tensor.Reshape).
+		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", a.Value.Shape, append([]int(nil), shape...)))
 	}
 	nd := tp.node(reshapeBack, a, nil, nil)
 	// The output value aliases a's data, so build the view by hand instead

@@ -2,7 +2,6 @@ package models
 
 import (
 	"repro/internal/datasets"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -33,7 +32,7 @@ type greedyDecoder struct {
 	srcLen, tgtLen int
 	n              int // sentences the buffers hold
 
-	pe  []float64      // positional encodings, max(srcLen, tgtLen) rows of width D
+	pe  []float64      // the model's positional table, max(srcLen, tgtLen) rows of width D
 	mem *tensor.Tensor // encoder output [n·srcLen, D]
 
 	// Row workspaces sized for the encoder's n·srcLen rows, which also
@@ -56,7 +55,7 @@ func newGreedyDecoder(net *Transformer, ff, srcLen, tgtLen, n int) *greedyDecode
 	d, nr := net.D, n*srcLen
 	g := &greedyDecoder{
 		net: net, srcLen: srcLen, tgtLen: tgtLen, n: n,
-		pe:     nn.PositionalEncoding(max(srcLen, tgtLen), d).Data,
+		pe:     net.Pos.Table.Data,
 		mem:    tensor.New(nr, d),
 		x:      tensor.New(nr, d),
 		q:      tensor.New(nr, d),

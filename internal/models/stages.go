@@ -395,8 +395,8 @@ func (st *TranslationStage) Forward(tape *autograd.Tape, slot int, idx []int, rn
 		case mtEmbed:
 			st.src[slot], st.dec[slot], st.lab[slot] =
 				mtFlattenInto(w.DS, idx, w.srcLen, w.tgtLen, st.src[slot], st.dec[slot], st.lab[slot])
-			a = nn.AddPositional(w.Net.Embed.Forward(&st.ctx, st.src[slot]), b, w.srcLen, w.Net.D)
-			hd = nn.AddPositional(w.Net.Embed.Forward(&st.ctx, st.dec[slot]), b, w.tgtLen, w.Net.D)
+			a = w.Net.Pos.Add(w.Net.Embed.Forward(&st.ctx, st.src[slot]), b, w.srcLen)
+			hd = w.Net.Pos.Add(w.Net.Embed.Forward(&st.ctx, st.dec[slot]), b, w.tgtLen)
 		case mtEnc:
 			a = u.blk.forward(&st.ctx, a, nil, b, w.srcLen, 0, false)
 		case mtDec:
@@ -469,8 +469,8 @@ func (w *Translation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor
 	w.mbSrc, w.mbDec, w.mbLab = mtFlattenInto(w.DS, idx, w.srcLen, w.tgtLen, w.mbSrc, w.mbDec, w.mbLab)
 	ctx := nn.Ctx{Tape: tape, Train: true, RNG: rng}
 	b := len(idx)
-	hEnc := nn.AddPositional(w.Net.Embed.Forward(&ctx, w.mbSrc), b, w.srcLen, w.Net.D)
-	hDec := nn.AddPositional(w.Net.Embed.Forward(&ctx, w.mbDec), b, w.tgtLen, w.Net.D)
+	hEnc := w.Net.Pos.Add(w.Net.Embed.Forward(&ctx, w.mbSrc), b, w.srcLen)
+	hDec := w.Net.Pos.Add(w.Net.Embed.Forward(&ctx, w.mbDec), b, w.tgtLen)
 	for _, blk := range w.Net.enc {
 		hEnc = blk.forward(&ctx, hEnc, nil, b, w.srcLen, 0, false)
 	}

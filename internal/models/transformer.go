@@ -63,15 +63,17 @@ type Transformer struct {
 	enc   []*transformerBlock
 	dec   []*transformerBlock
 	Proj  *nn.Linear
+	Pos   *nn.Positional // positional encodings, built once
 	D     int
 	Heads int
 }
 
-// NewTransformer builds the model.
-func NewTransformer(vocab, d, heads, ff, layers int, rng *tensor.RNG) *Transformer {
+// NewTransformer builds the model for sequences of up to maxLen positions.
+func NewTransformer(vocab, d, heads, ff, layers, maxLen int, rng *tensor.RNG) *Transformer {
 	t := &Transformer{
 		Embed: nn.NewEmbedding("embed", vocab, d, rng),
 		Proj:  nn.NewLinearXavier("proj", d, vocab, true, rng),
+		Pos:   nn.NewPositional(maxLen, d),
 		D:     d,
 		Heads: heads,
 	}
@@ -93,7 +95,7 @@ func (m *Transformer) Encode(ctx *nn.Ctx, src [][]int) *autograd.Var {
 	for _, row := range src {
 		flat = append(flat, row...)
 	}
-	h := nn.AddPositional(m.Embed.Forward(ctx, flat), b, t, m.D)
+	h := m.Pos.Add(m.Embed.Forward(ctx, flat), b, t)
 	for _, blk := range m.enc {
 		h = blk.forward(ctx, h, nil, b, t, 0, false)
 	}
@@ -108,7 +110,7 @@ func (m *Transformer) Decode(ctx *nn.Ctx, decIn [][]int, memory *autograd.Var, t
 	for _, row := range decIn {
 		flat = append(flat, row...)
 	}
-	h := nn.AddPositional(m.Embed.Forward(ctx, flat), b, t, m.D)
+	h := m.Pos.Add(m.Embed.Forward(ctx, flat), b, t)
 	for _, blk := range m.dec {
 		h = blk.forward(ctx, h, memory, b, t, tMem, true)
 	}
@@ -176,14 +178,15 @@ func mtOptimizer(hp MTHParams, params []*autograd.Param) opt.Optimizer {
 // NewTranslation builds the Transformer workload.
 func NewTranslation(ds *datasets.MTDataset, hp MTHParams, seed uint64) *Translation {
 	rng := tensor.NewRNG(seed)
-	net := NewTransformer(ds.Cfg.Vocab, hp.D, hp.Heads, hp.FF, hp.Layers, rng.Split(1))
+	srcLen, tgtLen := ds.Cfg.MaxLen, ds.Cfg.MaxLen+1 // room for EOS
+	net := NewTransformer(ds.Cfg.Vocab, hp.D, hp.Heads, hp.FF, hp.Layers, max(srcLen, tgtLen), rng.Split(1))
 	params := net.Params()
 	w := &Translation{
 		HP: hp, DS: ds, Net: net,
 		Opt:    mtOptimizer(hp, params),
 		Sched:  opt.InverseSqrt{Base: hp.LR, WarmupSteps: hp.Warmup},
-		srcLen: ds.Cfg.MaxLen,
-		tgtLen: ds.Cfg.MaxLen + 1, // room for EOS
+		srcLen: srcLen,
+		tgtLen: tgtLen,
 		params: params,
 		loader: data.NewLoader(len(ds.Train), hp.Batch, rng.Split(2)),
 		rng:    rng.Split(3),

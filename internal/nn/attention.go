@@ -30,58 +30,16 @@ func NewMultiHeadAttention(name string, dModel, heads int, rng *tensor.RNG) *Mul
 	}
 }
 
-// causalMask returns a [t,t] constant with -1e9 above the diagonal, which
-// zeroes future positions after softmax.
-func causalMask(t int) *tensor.Tensor {
-	m := tensor.New(t, t)
-	for i := 0; i < t; i++ {
-		for j := i + 1; j < t; j++ {
-			m.Data[i*t+j] = -1e9
-		}
-	}
-	return m
-}
-
 // Forward computes attention with queries from q [b*tq, d] and keys/values
 // from kv [b*tk, d]. Self-attention passes q == kv; decoder self-attention
 // additionally sets causal. Cross-attention passes encoder memory as kv.
+// The attention itself, over every sentence and head, is one
+// autograd.Attention node between the projections.
 func (m *MultiHeadAttention) Forward(ctx *Ctx, q, kv *autograd.Var, b, tq, tk int, causal bool) *autograd.Var {
-	dh := m.DModel / m.Heads
-	scale := 1 / math.Sqrt(float64(dh))
-
 	qp := m.Wq.Forward(ctx, q)
 	kp := m.Wk.Forward(ctx, kv)
 	vp := m.Wv.Forward(ctx, kv)
-
-	var mask *autograd.Var
-	if causal {
-		if tq != tk {
-			panic("nn: causal attention requires tq == tk")
-		}
-		mask = autograd.Const(causalMask(tq))
-	}
-
-	batchOuts := make([]*autograd.Var, 0, b)
-	for bi := 0; bi < b; bi++ {
-		qb := autograd.SliceRows(qp, bi*tq, (bi+1)*tq)
-		kb := autograd.SliceRows(kp, bi*tk, (bi+1)*tk)
-		vb := autograd.SliceRows(vp, bi*tk, (bi+1)*tk)
-		headOuts := make([]*autograd.Var, 0, m.Heads)
-		for h := 0; h < m.Heads; h++ {
-			qh := autograd.SliceCols(qb, h*dh, (h+1)*dh)
-			kh := autograd.SliceCols(kb, h*dh, (h+1)*dh)
-			vh := autograd.SliceCols(vb, h*dh, (h+1)*dh)
-			scores := autograd.Scale(autograd.MatMul(qh, autograd.Transpose(kh)), scale)
-			if mask != nil {
-				scores = autograd.Add(scores, mask)
-			}
-			attn := autograd.SoftmaxRows(scores)
-			headOuts = append(headOuts, autograd.MatMul(attn, vh))
-		}
-		batchOuts = append(batchOuts, autograd.ConcatCols(headOuts...))
-	}
-	out := autograd.ConcatRows(batchOuts...)
-	return m.Wo.Forward(ctx, out)
+	return m.Wo.Forward(ctx, autograd.Attention(qp, kp, vp, b, tq, tk, m.Heads, causal))
 }
 
 // Attend is attention's tape-free core for cached keys and values. Each
@@ -91,42 +49,19 @@ func (m *MultiHeadAttention) Forward(ctx *Ctx, q, kv *autograd.Var, b, tq, tk in
 // rows of one sequence, already projected by Wq, Wk and Wv; rows are
 // DModel wide. scores is a workspace of at least nk floats.
 //
-// The result equals Forward's rows bit for bit. A score row is the
-// ascending-k dot product scaled by 1/sqrt(dh), as in the GEMM, and the
-// context sums attention-weighted values in ascending key order. For a
-// causal row t, pass nk = t+1: Forward's −1e9 mask makes exp underflow to
-// exactly 0 on later keys, so its softmax sum and weighted values only
-// add exact zeros there.
+// The result equals Forward's rows bit for bit: both run every row and
+// head through autograd.AttendRow. For a causal row t, pass nk = t+1, as
+// Forward's causal rows do.
 //
 //mlperfvet:hotpath
 func (m *MultiHeadAttention) Attend(ctx, q, k, v []float64, nq, nk int, scores []float64) {
 	d := m.DModel
 	dh := d / m.Heads
 	scale := 1 / math.Sqrt(float64(dh))
-	p := scores[:nk]
 	for i := 0; i < nq; i++ {
-		for h := 0; h < m.Heads; h++ {
-			lo := h * dh
-			qh := q[i*d+lo : i*d+lo+dh]
-			for j := range p {
-				kh := k[j*d+lo : j*d+lo+dh]
-				s := 0.0
-				for c, qv := range qh {
-					s += qv * kh[c]
-				}
-				p[j] = s * scale
-			}
-			tensor.SoftmaxRow(p, p)
-			out := ctx[i*d+lo : i*d+lo+dh]
-			for c := range out {
-				out[c] = 0
-			}
-			for j, pj := range p {
-				vh := v[j*d+lo : j*d+lo+dh]
-				for c, vv := range vh {
-					out[c] += pj * vv
-				}
-			}
+		for lo := 0; lo < d; lo += dh {
+			r := i*d + lo
+			autograd.AttendRow(ctx[r:r+dh], q[r:r+dh], k[lo:], v[lo:], scores[:nk], d, scale)
 		}
 	}
 }
@@ -153,12 +88,33 @@ func PositionalEncoding(t, d int) *tensor.Tensor {
 	return pe
 }
 
-// AddPositional adds the positional encoding to a packed [b*t, d] batch.
-func AddPositional(x *autograd.Var, b, t, d int) *autograd.Var {
-	pe := PositionalEncoding(t, d)
-	full := tensor.New(b*t, d)
-	for bi := 0; bi < b; bi++ {
-		copy(full.Data[bi*t*d:(bi+1)*t*d], pe.Data)
+// Positional adds the sinusoidal position table to packed token
+// embeddings. It is built once per model for up to maxT positions, so
+// adding it allocates nothing.
+type Positional struct {
+	Table *tensor.Tensor  // PositionalEncoding(maxT, d)
+	rows  []*autograd.Var // rows[t]: the table's first t rows as one [t*d] constant
+}
+
+// NewPositional builds the table for up to maxT positions of width d.
+func NewPositional(maxT, d int) *Positional {
+	pe := PositionalEncoding(maxT, d)
+	p := &Positional{Table: pe, rows: make([]*autograd.Var, maxT+1)}
+	for t := 1; t <= maxT; t++ {
+		p.rows[t] = autograd.Const(tensor.FromSlice(pe.Data[:t*d], t*d))
 	}
-	return autograd.Add(x, autograd.Const(full))
+	return p
+}
+
+// Add adds the encoding of positions 0..t-1 to each of the b sentences of
+// a packed [b*t, d] batch. Seen as [b, t*d], the batch takes the first t
+// table rows as one broadcast row vector, so each element gets exactly
+// the x + pe addition of a tiled table.
+func (p *Positional) Add(x *autograd.Var, b, t int) *autograd.Var {
+	if t < 1 || t >= len(p.rows) {
+		panic("nn: sequence longer than the positional table")
+	}
+	d := p.Table.Shape[1]
+	y := autograd.AddRowVec(autograd.Reshape(x, b, t*d), p.rows[t])
+	return autograd.Reshape(y, b*t, d)
 }

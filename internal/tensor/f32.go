@@ -65,18 +65,25 @@ func (t *F32) FromF64(src *Tensor, d DType) {
 	if len(t.Data) != len(src.Data) {
 		panic(fmt.Sprintf("tensor: FromF64 length mismatch %d vs %d", len(t.Data), len(src.Data)))
 	}
-	switch d {
-	case Float32:
-		for i, v := range src.Data {
-			t.Data[i] = float32(v)
-		}
-	case BFloat16:
-		for i, v := range src.Data {
-			t.Data[i] = BF16Round(float32(v))
-		}
-	default:
+	if d != Float32 && d != BFloat16 {
 		panic("tensor: FromF64 requires a reduced dtype (F32 or BF16)")
 	}
+	for i, v := range src.Data {
+		t.Data[i] = Narrow(v, d)
+	}
+}
+
+// Narrow stages one float64 under a reduced compute regime, FromF64's
+// rule per element: Float32 narrows to float32; BFloat16 also rounds the
+// float32 to bfloat16 precision.
+//
+//mlperfvet:hotpath
+func Narrow(v float64, d DType) float32 {
+	f := float32(v)
+	if d == BFloat16 {
+		return BF16Round(f)
+	}
+	return f
 }
 
 // CopyToF64 widens t into dst (dst[i] = float64(t.Data[i])); widening is

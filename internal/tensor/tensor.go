@@ -168,7 +168,9 @@ func (t *Tensor) Clone() *Tensor {
 // Reshape returns a copy-free view with a new shape of equal size.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if numel(shape) != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
+		// Format a copy: boxing shape itself would make every caller's
+		// variadic slice escape to the heap.
+		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, append([]int(nil), shape...)))
 	}
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
