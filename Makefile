@@ -2,13 +2,13 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke
+.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke fuzz-smoke
 
 all: check
 
 # Everything CI runs, in the same order — reproduce any CI failure locally
 # with exactly `make ci` (the workflow jobs call these same targets).
-ci: check race multiproc-smoke chaos-smoke bench-smoke smoke-f32 serve-smoke
+ci: check race multiproc-smoke chaos-smoke fuzz-smoke bench-smoke smoke-f32 serve-smoke
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
@@ -72,6 +72,17 @@ chaos-smoke:
 	$(GO) test -race -run 'TestSupervisedChaos|TestMultiProcResume' -timeout 300s -v ./internal/grid/
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
 	$(GO) test -race -run 'Resume|Checkpoint|Crash' -timeout 300s ./internal/core/ ./internal/dist/ ./internal/pipeline/
+
+# Fuzz smoke over the one sealed-file decoder (internal/codec): random
+# snapshot bytes, and random checkpoint bodies re-sealed so they reach the
+# parser, must never panic, must allocate at most a constant multiple of
+# the input, and must survive load∘save∘load unchanged. Plain `go test`
+# runs only the seed corpus. Minimization is off: minimizing each new
+# coverage input re-runs it under full coverage of the large models
+# package and would spend the whole budget there.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 15s -fuzzminimizetime 0 ./internal/models/
+	$(GO) test -run '^$$' -fuzz '^FuzzCkptLoad$$' -fuzztime 15s -fuzzminimizetime 0 ./internal/ckpt/
 
 # Every table/figure benchmark plus the kernel microbenchmarks.
 bench:

@@ -12,10 +12,8 @@
 //	                      epochs-to-quality quantile comparison over
 //	                      paired run sets. TrainConfig + Configure is the
 //	                      one run-configuration surface (topology ×
-//	                      numerics × transport); the per-axis constructors
-//	                      (DPBenchmark, PPBenchmark, NumericsBenchmark,
-//	                      ...) are deprecated delegates. Run surfaces
-//	                      sticky engine failures as RunResult.Err
+//	                      numerics × transport). Run surfaces sticky
+//	                      engine failures as RunResult.Err
 //	internal/parallel   — worker pool + sharded loops and 2-D tile loops
 //	                      (ForTiles: row×column output tiles, so skinny and
 //	                      short matrices keep every worker busy;
@@ -88,6 +86,12 @@
 //	                      (temp+rename) with bounded retention; Latest/
 //	                      LatestComplete pick the newest valid set, so a
 //	                      torn or corrupt file can never be resumed from
+//	internal/codec      — the one byte codec under the sealed files and
+//	                      digests: the FNV-1a 64 fold, an append-style
+//	                      little-endian encoder, a bounds-checked decoder
+//	                      with a sticky error, and Seal/Open for the
+//	                      trailing byte-level seal (MLPSNAP1, MLPCKPT1,
+//	                      grid trajectory digests, TCP dial jitter)
 //	internal/chaos      — seeded fault injection: a FaultPlan is a pure
 //	                      function of (seed, config) — worker crashes per
 //	                      restart generation, wire-level faults (frame

@@ -12,6 +12,8 @@
 // over every preceding byte is written at save time and checked BEFORE
 // parsing at load time, so a truncated or corrupted checkpoint fails
 // loudly — and cannot drive allocations from unverified length fields.
+// The whole file, embedded snapshot included, is built by one
+// internal/codec Encoder and parsed by one bounds-checked Decoder.
 //
 // Files are written atomically (temp file + rename within the directory),
 // so a crash mid-write leaves at worst a stale temp file, never a
@@ -22,15 +24,14 @@
 package ckpt
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/opt"
@@ -41,13 +42,6 @@ import (
 // magic identifies checkpoint files ("MLPCKPT" + format version 1).
 const magic = "MLPCKPT1"
 
-// FNV-1a constants (64-bit), the digest family shared with
-// models.Snapshot and internal/grid.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
 // Stateful is implemented by workloads and engines whose full training
 // state can round-trip through a checkpoint. internal/core's runner
 // detects it by type assertion (like the Err/Params/Close capabilities);
@@ -57,137 +51,86 @@ type Stateful interface {
 	RestoreTrainState(*models.TrainState) error
 }
 
-// hashWriter forwards to w while folding every byte through FNV-1a, and
-// threads one sticky error through the many binary writes.
-type hashWriter struct {
-	w   io.Writer
-	h   uint64
-	err error
-}
-
-func (hw *hashWriter) Write(p []byte) (int, error) {
-	if hw.err != nil {
-		return 0, hw.err
-	}
-	for _, b := range p {
-		hw.h ^= uint64(b)
-		hw.h *= fnvPrime
-	}
-	n, err := hw.w.Write(p)
-	hw.err = err
-	return n, err
-}
-
-// Save writes st in the checkpoint format and returns the content digest
-// (the hex form of the trailing seal). Identical states produce identical
-// bytes and digests.
+// Save writes st in the checkpoint format, in one Write, and returns the
+// content digest (the hex form of the trailing seal). Identical states
+// produce identical bytes and digests.
 func Save(w io.Writer, st *models.TrainState) (string, error) {
 	if st == nil || st.Params == nil {
 		return "", fmt.Errorf("ckpt: save of nil state or state without parameters")
 	}
-	hw := &hashWriter{w: w, h: fnvOffset}
-	put := func(v any) {
-		if hw.err == nil {
-			hw.err = binary.Write(hw, binary.LittleEndian, v)
-		}
-	}
-	str := func(t string) {
-		put(uint32(len(t)))
-		if hw.err == nil {
-			_, hw.err = io.WriteString(hw, t)
-		}
-	}
-	floats := func(f []float64) {
-		put(uint32(len(f)))
-		for _, v := range f {
-			put(math.Float64bits(v))
-		}
-	}
+	var e codec.Encoder
 	rng := func(s tensor.RNGState) {
-		put(s.State)
-		put(s.Inc)
-		put(math.Float64bits(s.Spare))
-		if s.HasSpare {
-			put(uint8(1))
-		} else {
-			put(uint8(0))
-		}
+		e.U64(s.State)
+		e.U64(s.Inc)
+		e.F64(s.Spare)
+		e.Bool(s.HasSpare)
 	}
 
-	if _, err := io.WriteString(hw, magic); err != nil {
-		return "", fmt.Errorf("ckpt: save: %w", err)
-	}
-	put(uint64(st.Step))
-	put(uint64(st.Epoch))
+	e.Raw(magic)
+	e.U64(uint64(st.Step))
+	e.U64(uint64(st.Epoch))
 
 	// Parameters: the embedded snapshot, byte-for-byte the Snapshot format
 	// (it carries its own inner digest; the outer seal covers it too).
-	if hw.err == nil {
-		hw.err = st.Params.Save(hw)
-	}
+	st.Params.Encode(&e)
 
 	// Optimizer states.
-	put(uint32(len(st.Opts)))
+	e.U32(uint32(len(st.Opts)))
 	for _, o := range st.Opts {
-		str(o.Kind)
-		put(math.Float64bits(o.LR))
-		put(uint64(o.T))
-		put(uint32(len(o.Slots)))
+		e.Str(o.Kind)
+		e.F64(o.LR)
+		e.U64(uint64(o.T))
+		e.U32(uint32(len(o.Slots)))
 		for _, s := range o.Slots {
-			floats(s)
+			e.F64s(s)
 		}
 	}
 
 	// Mixed-precision position.
+	e.Bool(st.MP != nil)
 	if st.MP != nil {
-		put(uint8(1))
-		put(math.Float64bits(st.MP.Scale))
-		put(uint64(st.MP.Good))
-		put(st.MP.Steps)
-		put(st.MP.Skipped)
-		put(st.MP.Growths)
-		put(st.MP.Backoffs)
-	} else {
-		put(uint8(0))
+		e.F64(st.MP.Scale)
+		e.U64(uint64(st.MP.Good))
+		e.U64(st.MP.Steps)
+		e.U64(st.MP.Skipped)
+		e.U64(st.MP.Growths)
+		e.U64(st.MP.Backoffs)
 	}
 
 	// Loader position.
+	e.Bool(st.Loader != nil)
 	if st.Loader != nil {
-		put(uint8(1))
-		put(uint32(len(st.Loader.Order)))
+		e.U32(uint32(len(st.Loader.Order)))
 		for _, i := range st.Loader.Order {
-			put(uint32(i))
+			e.U32(uint32(i))
 		}
-		put(uint32(st.Loader.Pos))
-		put(uint32(st.Loader.Epoch))
+		e.U32(uint32(st.Loader.Pos))
+		e.U32(uint32(st.Loader.Epoch))
 		rng(st.Loader.RNG)
-	} else {
-		put(uint8(0))
 	}
 
 	// Auxiliary RNG streams.
-	put(uint32(len(st.RNGs)))
-	for _, e := range st.RNGs {
-		str(e.Label)
-		rng(e.State)
+	e.U32(uint32(len(st.RNGs)))
+	for _, r := range st.RNGs {
+		e.Str(r.Label)
+		rng(r.State)
 	}
 
 	// Meta entries (kept sorted by SetMeta; sort defensively so the bytes
 	// are deterministic regardless of how the slice was assembled).
 	meta := append([]models.MetaEntry(nil), st.Meta...)
-	sort.Slice(meta, func(i, j int) bool { return meta[i].Key < meta[j].Key })
-	put(uint32(len(meta)))
+	sort.SliceStable(meta, func(i, j int) bool { return meta[i].Key < meta[j].Key })
+	e.U32(uint32(len(meta)))
 	for _, m := range meta {
-		str(m.Key)
-		str(m.Value)
+		e.Str(m.Key)
+		e.Str(m.Value)
 	}
 
-	digest := fmt.Sprintf("%016x", hw.h)
-	put(hw.h) // trailing seal (not folded into itself: put writes through hw but digest was read first)
-	if hw.err != nil {
-		return "", fmt.Errorf("ckpt: save: %w", hw.err)
+	sealed, h := codec.Seal(e.B)
+	if _, err := w.Write(sealed); err != nil {
+		return "", fmt.Errorf("ckpt: save: %w", err)
 	}
-	return digest, nil
+	return fmt.Sprintf("%016x", h), nil
 }
 
 // Digest returns the content digest Save would seal st with, without
@@ -196,190 +139,70 @@ func Digest(st *models.TrainState) (string, error) {
 	return Save(io.Discard, st)
 }
 
-// cursor parses a digest-verified byte buffer. Every length field is
-// bounded by the remaining verified bytes, so no read can allocate more
-// than the input backs.
-type cursor struct {
-	b   []byte
-	err error
-}
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (c *cursor) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(c.b) {
-		c.fail("ckpt: truncated checkpoint (want %d bytes, have %d)", n, len(c.b))
-		return nil
-	}
-	out := c.b[:n]
-	c.b = c.b[n:]
-	return out
-}
-
-func (c *cursor) u8() uint8 {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *cursor) u32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (c *cursor) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-func (c *cursor) str() string {
-	n := int(c.u32())
-	b := c.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (c *cursor) floats() []float64 {
-	n := int(c.u32())
-	b := c.take(8 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func (c *cursor) rng() tensor.RNGState {
-	st := tensor.RNGState{State: c.u64(), Inc: c.u64(), Spare: c.f64()}
-	st.HasSpare = c.u8() != 0
-	return st
-}
-
 // Load reads a checkpoint written by Save. The whole input is read and
-// its trailing seal verified before any content is parsed.
+// its trailing seal verified before any content is parsed; the parse then
+// bounds every length field by the verified bytes that remain.
 func Load(r io.Reader) (*models.TrainState, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: load: %w", err)
 	}
-	if len(raw) < len(magic)+8 {
-		return nil, fmt.Errorf("ckpt: load: %d bytes is no checkpoint", len(raw))
+	body, err := codec.Open(raw)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: load: %w", err)
 	}
-	if string(raw[:len(magic)]) != magic {
-		return nil, fmt.Errorf("ckpt: load: bad magic %q (want %q)", raw[:len(magic)], magic)
+	d := codec.NewDecoder(body)
+	d.Magic(magic)
+	st := &models.TrainState{Step: int(d.U64()), Epoch: int(d.U64())}
+	if st.Params, err = models.DecodeSnapshot(d); err != nil {
+		return nil, fmt.Errorf("ckpt: load: embedded snapshot: %w", err)
 	}
-	body, trailer := raw[:len(raw)-8], raw[len(raw)-8:]
-	h := fnvOffset
-	for _, b := range body {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	if want := binary.LittleEndian.Uint64(trailer); h != want {
-		return nil, fmt.Errorf("ckpt: load: digest mismatch: content %016x, trailer %016x (corrupted or truncated checkpoint)", h, want)
+	rng := func() tensor.RNGState {
+		return tensor.RNGState{State: d.U64(), Inc: d.U64(), Spare: d.F64(), HasSpare: d.U8() != 0}
 	}
 
-	c := &cursor{b: body[len(magic):]}
-	st := &models.TrainState{Step: int(c.u64()), Epoch: int(c.u64())}
-
-	// Parameters: delegate to the snapshot reader over the remaining bytes,
-	// tracking how much it consumed.
-	if c.err == nil {
-		before := len(c.b)
-		cr := &countingReader{b: c.b}
-		snap, err := models.LoadSnapshot(cr)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: load: embedded snapshot: %w", err)
-		}
-		st.Params = snap
-		c.b = c.b[before-len(cr.b):]
-	}
-
-	nOpt := int(c.u32())
-	for i := 0; c.err == nil && i < nOpt; i++ {
-		o := opt.State{Kind: c.str(), LR: c.f64(), T: int(c.u64())}
-		nSlots := int(c.u32())
-		for s := 0; c.err == nil && s < nSlots; s++ {
-			o.Slots = append(o.Slots, c.floats())
+	// An optimizer state is at least kind length, LR, T and slot count.
+	for range d.Count(24) {
+		o := opt.State{Kind: d.Str(), LR: d.F64(), T: int(d.U64())}
+		o.Slots = make([][]float64, d.Count(4))
+		for i := range o.Slots {
+			o.Slots[i] = d.F64s()
 		}
 		st.Opts = append(st.Opts, o)
 	}
 
-	if c.u8() != 0 {
-		mp := &precision.MPState{Scale: c.f64(), Good: int(c.u64())}
-		mp.Steps = c.u64()
-		mp.Skipped = c.u64()
-		mp.Growths = c.u64()
-		mp.Backoffs = c.u64()
-		st.MP = mp
+	if d.U8() != 0 {
+		st.MP = &precision.MPState{Scale: d.F64(), Good: int(d.U64()),
+			Steps: d.U64(), Skipped: d.U64(), Growths: d.U64(), Backoffs: d.U64()}
 	}
 
-	if c.u8() != 0 {
-		ls := &data.LoaderState{}
-		nOrd := int(c.u32())
-		if b := c.take(4 * nOrd); b != nil {
-			ls.Order = make([]int, nOrd)
-			for i := range ls.Order {
-				ls.Order[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
-			}
+	if d.U8() != 0 {
+		ls := &data.LoaderState{Order: make([]int, d.Count(4))}
+		for i := range ls.Order {
+			ls.Order[i] = int(d.U32())
 		}
-		ls.Pos = int(c.u32())
-		ls.Epoch = int(c.u32())
-		ls.RNG = c.rng()
+		ls.Pos = int(d.U32())
+		ls.Epoch = int(d.U32())
+		ls.RNG = rng()
 		st.Loader = ls
 	}
 
-	nRNG := int(c.u32())
-	for i := 0; c.err == nil && i < nRNG; i++ {
-		st.RNGs = append(st.RNGs, models.RNGEntry{Label: c.str(), State: c.rng()})
+	// An RNG entry is at least a label length and 25 bytes of state.
+	for range d.Count(29) {
+		st.RNGs = append(st.RNGs, models.RNGEntry{Label: d.Str(), State: rng()})
 	}
 
-	nMeta := int(c.u32())
-	for i := 0; c.err == nil && i < nMeta; i++ {
-		st.Meta = append(st.Meta, models.MetaEntry{Key: c.str(), Value: c.str()})
+	for range d.Count(8) {
+		st.Meta = append(st.Meta, models.MetaEntry{Key: d.Str(), Value: d.Str()})
 	}
 
-	if c.err != nil {
-		return nil, c.err
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("ckpt: load: %w", err)
 	}
-	if len(c.b) != 0 {
-		return nil, fmt.Errorf("ckpt: load: %d trailing bytes after checkpoint content", len(c.b))
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("ckpt: load: %d trailing bytes after checkpoint content", d.Len())
 	}
 	return st, nil
-}
-
-// countingReader adapts a byte slice to io.Reader while exposing how much
-// remains (models.LoadSnapshot consumes an unknown prefix).
-type countingReader struct{ b []byte }
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	if len(c.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, c.b)
-	c.b = c.b[n:]
-	return n, nil
 }
 
 // fileName is the canonical checkpoint file name for (step, rank).

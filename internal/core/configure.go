@@ -35,10 +35,9 @@ type Parallel struct {
 }
 
 // TrainConfig is the unified run configuration: one value selects the
-// topology, the numerics regime, and the transport backend, replacing the
-// per-topology constructor zoo (DPBenchmark, PPBenchmarkDType, ...), which
-// survives as thin deprecated delegates. Build one TrainConfig, call
-// Configure, and hand the resulting Benchmark to Run/RunSet.
+// topology, the numerics regime, and the transport backend. Build one
+// TrainConfig, call Configure, and hand the resulting Benchmark to
+// Run/RunSet.
 type TrainConfig struct {
 	// Parallel is the training topology (zero value = serial).
 	Parallel Parallel

@@ -10,42 +10,20 @@ import (
 	"repro/internal/transport"
 )
 
-// DPBenchmark returns a copy of the suite benchmark whose New constructor
-// builds a real data-parallel training run on the internal/dist engine:
-// workers replicas train on shards of every global minibatch and exchange
-// gradients through a deterministic ring all-reduce. The wrapped workload
-// implements models.Workload, so Run/RunSet apply the §3.2.1 timing rules
-// and emit compliant MLLOG streams exactly as for serial runs.
+// dpBenchmark is Configure's data-parallel path: a copy of the suite
+// benchmark whose New constructor builds a real data-parallel training run
+// on the internal/dist engine. workers replicas train on shards of every
+// global minibatch and exchange gradients through a deterministic ring
+// all-reduce. The wrapped workload implements models.Workload, so
+// Run/RunSet apply the §3.2.1 timing rules and emit compliant MLLOG
+// streams exactly as for serial runs.
 //
 // microshards pins the gradient-reduction granularity (0 selects 8 when
 // workers divides 8, else workers). Runs that share seed, global batch, and
 // microshards produce bit-identical parameters at every worker count
-// dividing microshards — the dist determinism contract.
-//
-// Deprecated: build a TrainConfig and call Configure instead.
-func DPBenchmark(v Version, id string, workers, microshards int) (Benchmark, error) {
-	return DPBenchmarkNumerics(v, id, workers, microshards, precision.Numerics{})
-}
-
-// DPBenchmarkNumerics is DPBenchmark under an explicit compute regime
-// (§2.2.3): the engine's per-worker tapes run the given dtype and, in the
-// mixed regime, every replica carries its own lockstep mixed-precision
-// trainer. The zero-value regime is exactly DPBenchmark. The numerics
-// live in the engine config — not the model hyperparameters — because the
-// engine owns the tapes and the step bracket in data-parallel training.
-//
-// Deprecated: build a TrainConfig and call Configure instead.
-func DPBenchmarkNumerics(v Version, id string, workers, microshards int, num precision.Numerics) (Benchmark, error) {
-	if workers < 1 {
-		return Benchmark{}, fmt.Errorf("core: data-parallel worker count %d < 1", workers)
-	}
-	return Configure(v, id, TrainConfig{
-		Parallel: Parallel{DP: workers, Microshards: microshards},
-		Numerics: num,
-	})
-}
-
-// dpBenchmark is Configure's data-parallel path.
+// dividing microshards — the dist determinism contract. The numerics live
+// in the engine config, not the model hyperparameters, because the engine
+// owns the tapes and the step bracket in data-parallel training.
 func dpBenchmark(v Version, id string, workers, microshards int, num precision.Numerics) (Benchmark, error) {
 	b, err := FindBenchmark(v, id)
 	if err != nil {

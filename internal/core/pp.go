@@ -6,55 +6,27 @@ import (
 	"repro/internal/arena"
 	"repro/internal/models"
 	"repro/internal/pipeline"
-	"repro/internal/precision"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
-// PPBenchmark returns a copy of the suite benchmark whose New constructor
-// builds a pipeline-parallel (and, with workers > 1, hybrid DP×PP)
-// training run on the internal/pipeline engine: the model is split into
-// `stages` cost-balanced contiguous stages, each replicated `workers`
-// ways, and every global minibatch flows through the stage goroutines as
-// `microbatches` microbatches under the chosen schedule ("gpipe" or
-// "1f1b"; empty selects gpipe). The wrapped workload implements
-// models.Workload, so Run/RunSet apply the §3.2.1 timing rules and emit
-// compliant MLLOG streams exactly as for serial runs.
+// ppBenchmark is Configure's pipeline-parallel path: a copy of the suite
+// benchmark whose New constructor builds a pipeline-parallel (and, with
+// workers > 1, hybrid DP×PP) training run on the internal/pipeline engine.
+// The model is split into `stages` cost-balanced contiguous stages, each
+// replicated `workers` ways, and every global minibatch flows through the
+// stage goroutines as `microbatches` microbatches under the chosen
+// schedule ("gpipe" or "1f1b"; empty selects gpipe). The stage tapes run
+// the given compute dtype; the full mixed-precision recipe is a
+// whole-model step bracket and does not decompose across stage shards, so
+// Configure rejects it before reaching here.
 //
 // Runs sharing seed, global batch, and microbatches produce bit-identical
 // trainable parameters for every (stages, schedule, workers) combination —
-// the engine's determinism contract. (As with DPBenchmark, BatchNorm
-// running statistics accumulate per replica from its own microbatches, so
-// measured quality can differ slightly across worker counts.)
-// Deprecated: build a TrainConfig and call Configure instead.
-func PPBenchmark(v Version, id string, stages, workers, microbatches int, schedule string) (Benchmark, error) {
-	return PPBenchmarkDType(v, id, stages, workers, microbatches, schedule, tensor.Float64)
-}
-
-// PPBenchmarkDType is PPBenchmark with the stage tapes running the given
-// compute dtype (§2.2.3). Only the plain dtype is supported here — the
-// full mixed-precision recipe (master-weight rounds + dynamic loss
-// scaling) is a whole-model step bracket and does not decompose across
-// stage shards; use DPBenchmarkNumerics or the serial NumericsBenchmark
-// for the bf16+mp regime.
-//
-// Deprecated: build a TrainConfig and call Configure instead.
-func PPBenchmarkDType(v Version, id string, stages, workers, microbatches int, schedule string, dtype tensor.DType) (Benchmark, error) {
-	// Validate here rather than delegating: stages == 0 would otherwise fold
-	// into TrainConfig's "no pipeline" topology instead of erroring.
-	if stages < 1 {
-		return Benchmark{}, fmt.Errorf("core: pipeline stage count %d < 1", stages)
-	}
-	if workers < 1 {
-		return Benchmark{}, fmt.Errorf("core: pipeline worker count %d < 1", workers)
-	}
-	return Configure(v, id, TrainConfig{
-		Parallel: Parallel{DP: workers, PPStages: stages, PPSchedule: schedule, Microbatches: microbatches},
-		Numerics: precision.Numerics{Compute: dtype},
-	})
-}
-
-// ppBenchmark is Configure's pipeline-parallel path.
+// the engine's determinism contract. (As on the data-parallel path,
+// BatchNorm running statistics accumulate per replica from its own
+// microbatches, so measured quality can differ slightly across worker
+// counts.)
 func ppBenchmark(v Version, id string, stages, workers, microbatches int, schedule string, dtype tensor.DType) (Benchmark, error) {
 	b, err := FindBenchmark(v, id)
 	if err != nil {
@@ -76,7 +48,7 @@ func ppBenchmark(v Version, id string, stages, workers, microbatches int, schedu
 		return Benchmark{}, fmt.Errorf("core: unknown pipeline schedule %q (want %q or %q)", schedule, pipeline.GPipe, pipeline.OneFOneB)
 	}
 
-	// One arena for all of this benchmark's runs (see DPBenchmark).
+	// One arena for all of this benchmark's runs (see dpBenchmark).
 	pool := arena.New()
 
 	switch id {

@@ -5,12 +5,7 @@ import (
 	"math"
 
 	"repro/internal/autograd"
-)
-
-// FNV-1a constants (64-bit).
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
+	"repro/internal/codec"
 )
 
 // Digest is a rolling FNV-1a hash over a parameter trajectory: each Add
@@ -25,7 +20,7 @@ type Digest struct {
 }
 
 // NewDigest returns an empty trajectory digest.
-func NewDigest() *Digest { return &Digest{h: fnvOffset} }
+func NewDigest() *Digest { return &Digest{h: codec.FNVOffset} }
 
 // Add folds one step's parameter state into the digest, in parameter-list
 // then element order.
@@ -33,11 +28,7 @@ func (d *Digest) Add(params []*autograd.Param) {
 	h := d.h
 	for _, p := range params {
 		for _, v := range p.Value.Data {
-			bits := math.Float64bits(v)
-			for s := 0; s < 64; s += 8 {
-				h ^= (bits >> s) & 0xFF
-				h *= fnvPrime
-			}
+			h = codec.FoldU64(h, math.Float64bits(v))
 		}
 	}
 	d.h = h

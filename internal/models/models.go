@@ -34,45 +34,19 @@ type StepCounter interface {
 	Steps() int
 }
 
-// applySchedule updates an optimizer from a schedule at the given step;
-// a nil schedule leaves the rate unchanged.
-func applySchedule(o opt.Optimizer, s opt.Schedule, step int) {
-	opt.ApplySchedule(o, s, step)
-}
-
 // trainStep factors the common tape lifecycle: zero grads, run forward to
 // a loss, backprop, run postBackward (gradient clipping/quantization; may
 // be nil), optimizer step. It returns the loss value. A non-nil tape is
 // Reset and reused — workloads that train many steps keep one persistent
 // tape so the steady-state step recycles every graph buffer; passing nil
 // builds a throwaway tape.
-func trainStep(tape *autograd.Tape, params []*autograd.Param, o opt.Optimizer, forward func(tape *autograd.Tape) *autograd.Var, postBackward func()) float64 {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-	if tape == nil {
-		tape = autograd.NewTape()
-	} else {
-		tape.Reset()
-	}
-	loss := forward(tape)
-	tape.Backward(loss)
-	if postBackward != nil {
-		postBackward()
-	}
-	o.Step()
-	return loss.Scalar()
-}
-
-// trainStepMP is trainStep under a mixed-precision trainer: the step is
+//
+// A non-nil mp runs the step under the mixed-precision trainer: it is
 // bracketed by mp.BeginStep (bf16 master-weight round) and mp.Apply
 // (restore masters, overflow check, unscaled optimizer step), and the
-// backward pass is seeded with the dynamic loss scale. A nil mp delegates
-// to trainStep, so regime-agnostic workloads call this unconditionally.
-func trainStepMP(tape *autograd.Tape, params []*autograd.Param, o opt.Optimizer, mp *precision.MP, forward func(tape *autograd.Tape) *autograd.Var, postBackward func()) float64 {
-	if mp == nil {
-		return trainStep(tape, params, o, forward, postBackward)
-	}
+// backward pass is seeded with the dynamic loss scale. A nil mp is the
+// plain step, so regime-agnostic workloads pass their trainer through.
+func trainStep(tape *autograd.Tape, params []*autograd.Param, o opt.Optimizer, mp *precision.MP, forward func(tape *autograd.Tape) *autograd.Var, postBackward func()) float64 {
 	for _, p := range params {
 		p.ZeroGrad()
 	}
@@ -81,12 +55,22 @@ func trainStepMP(tape *autograd.Tape, params []*autograd.Param, o opt.Optimizer,
 	} else {
 		tape.Reset()
 	}
-	mp.BeginStep()
+	if mp != nil {
+		mp.BeginStep()
+	}
 	loss := forward(tape)
-	tape.BackwardScaled(loss, mp.Scale())
+	if mp != nil {
+		tape.BackwardScaled(loss, mp.Scale())
+	} else {
+		tape.Backward(loss)
+	}
 	if postBackward != nil {
 		postBackward()
 	}
-	mp.Apply(o)
+	if mp != nil {
+		mp.Apply(o)
+	} else {
+		o.Step()
+	}
 	return loss.Scalar()
 }

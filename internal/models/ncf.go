@@ -130,7 +130,7 @@ func (w *Recommendation) TrainEpoch() float64 {
 		w.busers, w.bitems, w.blabels = w.DS.AppendTrainBatch(
 			w.busers[:0], w.bitems[:0], w.blabels[:0], idx, w.HP.NegRatio, w.rng)
 		users, items, labels := w.busers, w.bitems, w.blabels
-		loss := trainStepMP(w.tape, w.params, w.Opt, w.mp, func(tape *autograd.Tape) *autograd.Var {
+		loss := trainStep(w.tape, w.params, w.Opt, w.mp, func(tape *autograd.Tape) *autograd.Var {
 			ctx := nn.NewCtx(tape, true, w.rng)
 			logits := w.Net.Forward(ctx, users, items)
 			return autograd.BCEWithLogits(logits, labels)

@@ -235,8 +235,8 @@ func (w *ImageClassification) TrainEpoch() float64 {
 		var labels []int
 		w.bx, w.blabels = w.DS.BatchInto(w.bx, w.blabels, true, idx, w.augment)
 		x, labels = w.bx, w.blabels
-		applySchedule(w.Opt, w.Sched, w.steps)
-		loss := trainStepMP(w.tape, w.params, w.Opt, w.mp, func(tape *autograd.Tape) *autograd.Var {
+		opt.ApplySchedule(w.Opt, w.Sched, w.steps)
+		loss := trainStep(w.tape, w.params, w.Opt, w.mp, func(tape *autograd.Tape) *autograd.Var {
 			ctx := nn.NewCtx(tape, true, w.rng)
 			logits := w.Net.Forward(ctx, tape.ConstOf(x))
 			return autograd.SoftmaxCrossEntropy(logits, labels)

@@ -11,29 +11,17 @@ package models
 // snapshot fails loudly instead of silently serving garbage weights.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
 	"repro/internal/autograd"
+	"repro/internal/codec"
 )
 
 // snapMagic identifies snapshot files ("MLPSNAP" + format version 1).
 const snapMagic = "MLPSNAP1"
-
-// snapAllocChunk caps the up-front allocation for a declared value count:
-// the data slice starts at most this many elements (512 KiB) and grows
-// only as bytes actually arrive from the stream, so a corrupt count field
-// cannot demand memory the input does not back.
-const snapAllocChunk = 1 << 16
-
-// FNV-1a constants (64-bit), as in internal/grid's trajectory digest.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
 
 // SnapParam is one captured parameter: name, shape, and a copy of the
 // float64 values.
@@ -70,33 +58,20 @@ func TakeSnapshot(benchmark string, params []*autograd.Param) *Snapshot {
 // names, shapes, and exact float64 bit patterns, in order — through
 // FNV-1a. Two snapshots share a digest only if they are bit-identical.
 func (s *Snapshot) digest() uint64 {
-	h := fnvOffset
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= fnvPrime
+	str := func(h uint64, t string) uint64 {
+		return codec.FoldBytes(codec.FoldU64(h, uint64(len(t))), t)
 	}
-	mix64 := func(v uint64) {
-		for sh := 0; sh < 64; sh += 8 {
-			mix(byte(v >> sh))
-		}
-	}
-	str := func(t string) {
-		mix64(uint64(len(t)))
-		for i := 0; i < len(t); i++ {
-			mix(t[i])
-		}
-	}
-	str(s.Benchmark)
-	mix64(uint64(len(s.Params)))
+	h := str(codec.FNVOffset, s.Benchmark)
+	h = codec.FoldU64(h, uint64(len(s.Params)))
 	for _, p := range s.Params {
-		str(p.Name)
-		mix64(uint64(len(p.Shape)))
+		h = str(h, p.Name)
+		h = codec.FoldU64(h, uint64(len(p.Shape)))
 		for _, d := range p.Shape {
-			mix64(uint64(d))
+			h = codec.FoldU64(h, uint64(d))
 		}
-		mix64(uint64(len(p.Data)))
+		h = codec.FoldU64(h, uint64(len(p.Data)))
 		for _, v := range p.Data {
-			mix64(math.Float64bits(v))
+			h = codec.FoldU64(h, math.Float64bits(v))
 		}
 	}
 	return h
@@ -116,7 +91,8 @@ func (s *Snapshot) NumValues() int {
 	return n
 }
 
-// Save writes the snapshot in the deterministic binary format:
+// Save writes the snapshot in the deterministic binary format, in one
+// Write:
 //
 //	magic "MLPSNAP1"
 //	benchmark: u32 length + bytes
@@ -128,158 +104,74 @@ func (s *Snapshot) NumValues() int {
 // All integers are little-endian. The format contains no timestamps or
 // addresses: identical parameters produce identical bytes.
 func (s *Snapshot) Save(w io.Writer) error {
-	bw := &countWriter{w: w}
-	write := func(v any) {
-		if bw.err == nil {
-			bw.err = binary.Write(bw, binary.LittleEndian, v)
-		}
-	}
-	str := func(t string) {
-		write(uint32(len(t)))
-		if bw.err == nil {
-			_, bw.err = io.WriteString(bw, t)
-		}
-	}
-	if _, err := io.WriteString(bw, snapMagic); err != nil {
+	var e codec.Encoder
+	s.Encode(&e)
+	if _, err := w.Write(e.B); err != nil {
 		return fmt.Errorf("models: snapshot save: %w", err)
-	}
-	str(s.Benchmark)
-	write(uint32(len(s.Params)))
-	for _, p := range s.Params {
-		str(p.Name)
-		write(uint32(len(p.Shape)))
-		for _, d := range p.Shape {
-			write(uint32(d))
-		}
-		write(uint32(len(p.Data)))
-		for _, v := range p.Data {
-			write(math.Float64bits(v))
-		}
-	}
-	write(s.digest())
-	if bw.err != nil {
-		return fmt.Errorf("models: snapshot save: %w", bw.err)
 	}
 	return nil
 }
 
-// countWriter threads one sticky error through the many binary writes.
-type countWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
+// Encode appends the snapshot in the Save format to e. internal/ckpt
+// embeds it in a checkpoint this way.
+func (s *Snapshot) Encode(e *codec.Encoder) {
+	e.Raw(snapMagic)
+	e.Str(s.Benchmark)
+	e.U32(uint32(len(s.Params)))
+	for _, p := range s.Params {
+		e.Str(p.Name)
+		e.U32(uint32(len(p.Shape)))
+		for _, d := range p.Shape {
+			e.U32(uint32(d))
+		}
+		e.F64s(p.Data)
 	}
-	n, err := c.w.Write(p)
-	c.err = err
-	return n, err
+	e.U64(s.digest())
 }
 
 // LoadSnapshot reads a snapshot written by Save, recomputes the content
-// digest, and rejects any mismatch (truncation, corruption, format drift).
+// digest, and rejects any mismatch (truncation, corruption, format drift)
+// and any bytes after the trailer.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := &stickyReader{r: r}
-	read := func(v any) {
-		if br.err == nil {
-			br.err = binary.Read(br, binary.LittleEndian, v)
-		}
-	}
-	readStr := func() string {
-		var n uint32
-		read(&n)
-		if br.err != nil {
-			return ""
-		}
-		if n > 1<<20 {
-			br.err = fmt.Errorf("string length %d exceeds sanity bound", n)
-			return ""
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			br.err = err
-			return ""
-		}
-		return string(b)
-	}
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	raw, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("models: snapshot load: %w", err)
 	}
-	if string(magic) != snapMagic {
-		return nil, fmt.Errorf("models: snapshot load: bad magic %q (want %q)", magic, snapMagic)
+	d := codec.NewDecoder(raw)
+	s, err := DecodeSnapshot(d)
+	if err == nil && d.Len() != 0 {
+		err = fmt.Errorf("%d trailing bytes after the trailer", d.Len())
 	}
-	s := &Snapshot{Benchmark: readStr()}
-	var np uint32
-	read(&np)
-	if br.err == nil && np > 1<<20 {
-		br.err = fmt.Errorf("parameter count %d exceeds sanity bound", np)
-	}
-	for i := 0; br.err == nil && i < int(np); i++ {
-		p := SnapParam{Name: readStr()}
-		var nd uint32
-		read(&nd)
-		if br.err == nil && nd > 16 {
-			br.err = fmt.Errorf("parameter %q has %d dims", p.Name, nd)
-		}
-		for d := 0; br.err == nil && d < int(nd); d++ {
-			var dim uint32
-			read(&dim)
-			p.Shape = append(p.Shape, int(dim))
-		}
-		var cnt uint32
-		read(&cnt)
-		if br.err == nil && cnt > 1<<28 {
-			br.err = fmt.Errorf("parameter %q has %d values", p.Name, cnt)
-		}
-		if br.err == nil {
-			// The count arrives from the (not yet digest-verified) stream, so
-			// allocation must be bounded by the bytes that actually follow —
-			// a corrupt header claiming 2^28 values on a truncated stream must
-			// fail at the read, not allocate gigabytes up front. Grow in
-			// bounded chunks as the values arrive.
-			p.Data = make([]float64, 0, min(int(cnt), snapAllocChunk))
-			for j := 0; br.err == nil && j < int(cnt); j++ {
-				var bits uint64
-				read(&bits)
-				if br.err == nil {
-					p.Data = append(p.Data, math.Float64frombits(bits))
-				}
-			}
-			if br.err != nil {
-				br.err = fmt.Errorf("parameter %q truncated at value %d of %d: %w", p.Name, len(p.Data), cnt, br.err)
-			}
-		}
-		s.Params = append(s.Params, p)
-	}
-	var want uint64
-	read(&want)
-	if br.err != nil {
-		return nil, fmt.Errorf("models: snapshot load: %w", br.err)
-	}
-	if got := s.digest(); got != want {
-		return nil, fmt.Errorf("models: snapshot load: digest mismatch: content %016x, trailer %016x (corrupted or truncated snapshot)", got, want)
+	if err != nil {
+		return nil, fmt.Errorf("models: snapshot load: %w", err)
 	}
 	return s, nil
 }
 
-// stickyReader threads one sticky error through the many binary reads.
-type stickyReader struct {
-	r   io.Reader
-	err error
-}
-
-func (s *stickyReader) Read(p []byte) (int, error) {
-	if s.err != nil {
-		return 0, s.err
+// DecodeSnapshot reads one snapshot in the Save format from d and checks
+// its content digest. Bytes after the trailer are left in d.
+func DecodeSnapshot(d *codec.Decoder) (*Snapshot, error) {
+	d.Magic(snapMagic)
+	s := &Snapshot{Benchmark: d.Str()}
+	// A parameter is at least three u32s: name length, ndims, count.
+	s.Params = make([]SnapParam, d.Count(12))
+	for i := range s.Params {
+		p := &s.Params[i]
+		p.Name = d.Str()
+		p.Shape = make([]int, d.Count(4))
+		for j := range p.Shape {
+			p.Shape[j] = int(d.U32())
+		}
+		p.Data = d.F64s()
 	}
-	n, err := s.r.Read(p)
-	if err != nil {
-		s.err = err
+	want := d.U64()
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	return n, err
+	if got := s.digest(); got != want {
+		return nil, fmt.Errorf("digest mismatch: content %016x, trailer %016x (corrupted or truncated snapshot)", got, want)
+	}
+	return s, nil
 }
 
 // SaveFile writes the snapshot to a file.

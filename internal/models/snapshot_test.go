@@ -3,6 +3,7 @@ package models
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
@@ -101,6 +102,53 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	if _, err := LoadSnapshot(bytes.NewReader(raw[:len(raw)-9])); err == nil {
 		t.Error("LoadSnapshot accepted a truncated snapshot")
 	}
+	// Bytes after the trailer are rejected too, as ckpt.Load rejects them.
+	if _, err := LoadSnapshot(bytes.NewReader(append(append([]byte(nil), raw...), 0xAA))); err == nil {
+		t.Error("LoadSnapshot accepted a snapshot with trailing garbage")
+	}
+}
+
+// FuzzLoadSnapshot drives arbitrary bytes through the snapshot decoder. It
+// must never panic, must allocate no more than a constant multiple of the
+// input (a corrupt count cannot demand memory the input does not back),
+// and the format is canonical: every accepted input saves back to itself,
+// so load∘save∘load = load.
+func FuzzLoadSnapshot(f *testing.F) {
+	snap := &Snapshot{Benchmark: "recommendation", Params: []SnapParam{
+		{Name: "w", Shape: []int{2, 2}, Data: []float64{1, math.Copysign(0, -1), math.Inf(1), math.Float64frombits(0x7ff8000000000001)}},
+		{Name: "b", Shape: []int{2}, Data: []float64{0.5, math.Float64frombits(1)}},
+	}}
+	var buf bytes.Buffer
+	if err := snap.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	raw := buf.Bytes()
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(raw)
+	f.Add(flipped)
+	f.Add(raw[:len(raw)-9])
+	f.Add(append(append([]byte(nil), raw...), 0xAA))
+	f.Add(corruptCountSnapshot())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := LoadSnapshot(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(in))+1<<20 {
+			t.Fatalf("LoadSnapshot allocated %d bytes for a %d-byte input", alloc, len(in))
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := s.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("accepted input does not save back to itself:\nin  %x\nout %x", in, out.Bytes())
+		}
+	})
 }
 
 // TestSnapshotRestoreMismatch requires typed failures when restoring into

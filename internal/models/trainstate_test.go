@@ -2,11 +2,11 @@ package models
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"runtime"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/datasets"
 	"repro/internal/precision"
 	"repro/internal/tensor"
@@ -14,14 +14,10 @@ import (
 
 // paramsDigest folds current parameter values through FNV-1a.
 func paramsDigest(w *Recommendation) uint64 {
-	h := uint64(14695981039346656037)
+	h := codec.FNVOffset
 	for _, p := range w.params {
 		for _, v := range p.Value.Data {
-			bits := math.Float64bits(v)
-			for sh := 0; sh < 64; sh += 8 {
-				h ^= uint64(byte(bits >> sh))
-				h *= 1099511628211
-			}
+			h = codec.FoldU64(h, math.Float64bits(v))
 		}
 	}
 	return h
@@ -103,36 +99,40 @@ func TestRestoreTrainStateValidation(t *testing.T) {
 	}
 }
 
+// corruptCountSnapshot is a snapshot header whose one parameter claims
+// 2^27 values (1 GiB of float64s) backed by only 80 bytes.
+func corruptCountSnapshot() []byte {
+	var e codec.Encoder
+	e.Raw("MLPSNAP1")
+	e.Str("rec")   // benchmark name
+	e.U32(1)       // one parameter
+	e.Str("w")     // name
+	e.U32(1)       // one dim
+	e.U32(1 << 27) // dim value (irrelevant)
+	e.U32(1 << 27) // value count: claims 1 GiB of float64s...
+	for i := 0; i < 10; i++ {
+		e.U64(uint64(i)) // ...backed by 80 bytes
+	}
+	return e.B
+}
+
 // TestLoadSnapshotCorruptCountBounded is the regression test for the
 // unbounded-allocation bug: a corrupt header claiming 2^27 values on a
 // near-empty stream must fail at the read without allocating the gigabyte
 // the count demands.
 func TestLoadSnapshotCorruptCountBounded(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("MLPSNAP1")
-	put := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	put(uint32(3)) // benchmark name
-	buf.WriteString("rec")
-	put(uint32(1)) // one parameter
-	put(uint32(1)) // name
-	buf.WriteString("w")
-	put(uint32(1))       // one dim
-	put(uint32(1 << 27)) // dim value (irrelevant)
-	put(uint32(1 << 27)) // value count: claims 1 GiB of float64s...
-	for i := 0; i < 10; i++ {
-		put(uint64(i)) // ...backed by 80 bytes
-	}
+	raw := corruptCountSnapshot()
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	_, err := LoadSnapshot(bytes.NewReader(raw))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("LoadSnapshot accepted truncated snapshot with corrupt count")
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
 		t.Fatalf("LoadSnapshot allocated %d bytes for a %d-byte input (count field drove allocation)",
-			alloc, buf.Len())
+			alloc, len(raw))
 	}
 }

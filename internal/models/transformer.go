@@ -217,8 +217,8 @@ func (w *Translation) TrainEpoch() float64 {
 		for _, row := range labels {
 			flatLabels = append(flatLabels, row...)
 		}
-		applySchedule(w.Opt, w.Sched, w.steps)
-		loss := trainStep(nil, w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
+		opt.ApplySchedule(w.Opt, w.Sched, w.steps)
+		loss := trainStep(nil, w.params, w.Opt, nil, func(tape *autograd.Tape) *autograd.Var {
 			ctx := nn.NewCtx(tape, true, w.rng)
 			memory := w.Net.Encode(ctx, src)
 			logits := w.Net.Decode(ctx, decIn, memory, w.srcLen)

@@ -89,3 +89,11 @@ func TestDialScheduleZeroJitterBase(t *testing.T) {
 		}
 	}
 }
+
+// TestDialJitterGolden pins the jitter to the value measured before the
+// FNV-1a fold moved onto internal/codec.
+func TestDialJitterGolden(t *testing.T) {
+	if got, want := dialJitter("127.0.0.1:9000", 3, 5, time.Second), 757180859*time.Nanosecond; got != want {
+		t.Fatalf("dialJitter = %d ns, want %d ns", got, want)
+	}
+}
