@@ -48,7 +48,7 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race-detector pass over the fast suite: the dist ring, the parallel pool,
+# Race-detector pass over the fast suite: the engine's ring, the parallel pool,
 # the run-set executor, and the arena are all concurrency-heavy.
 race:
 	$(GO) test -race -short ./...
@@ -67,7 +67,8 @@ multiproc-smoke:
 # the supervisor respawns it from the newest complete checkpoint set
 # (internal/ckpt), and the completed run must report trajectory digests
 # bit-identical to a never-killed reference — plus the checkpoint/resume
-# and crash-boundary sweeps in ckpt, core, dist, and pipeline.
+# and crash-boundary sweeps in ckpt, core, dist (the one-stage engine's
+# data-parallel tests) and pipeline.
 chaos-smoke:
 	$(GO) test -race -run 'TestSupervisedChaos|TestMultiProcResume' -timeout 300s -v ./internal/grid/
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
@@ -115,7 +116,8 @@ pp-smoke:
 # Reduced-numerics smoke: short training runs under each reduced regime
 # through the CLI (f32 GEMM → low-precision autograd staging → mixed
 # precision → harness plumbing, end to end), then the numerics-focused
-# test slices across the stack. The fp64 regime needs no smoke of its own:
+# test slices across the stack (the engine's mixed-precision tests are the
+# data-parallel ones in internal/dist). The fp64 regime needs no smoke of its own:
 # every other target trains it.
 smoke-f32:
 	$(GO) run ./cmd/mlperf -benchmark recommendation -dtype f32 -runs 1 -max-epochs 2

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
@@ -120,13 +119,13 @@ func benchStepTransformerDP(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
 	ds := datasets.GenerateMT(datasets.DefaultMTConfig())
 	hp := models.DefaultTransformerHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   1, Microbatches: 8,
 		GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewTranslation(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	})
 	if err != nil {
 		b.Fatal(err)

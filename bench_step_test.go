@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 	"repro/internal/transport"
@@ -13,7 +12,7 @@ import (
 
 // Steady-state allocation benchmarks: after a short warmup, a training
 // step must perform ZERO heap allocations — the tensor arena, the pooled
-// autograd tape, the persistent dist workers, and the reused batch buffers
+// autograd tape, the persistent engine workers, and the reused batch buffers
 // together keep GC entirely out of the hot loop, so step time stays flat
 // no matter how long training runs (the time-to-train property §3.2
 // measures). CI's bench-smoke job greps these benchmarks' -benchmem output
@@ -30,13 +29,13 @@ func benchStepAllocsNCF(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
 	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
 	hp := models.DefaultNCFHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   1, Microbatches: 8,
 		GlobalBatch: 256, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewRecommendation(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -61,13 +60,13 @@ func benchStepAllocsResNet(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
 	ds := datasets.GenerateImages(datasets.DefaultImageConfig())
 	hp := models.DefaultImageHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   1, Microbatches: 8,
 		GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 1, DropLast: true,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewImageClassification(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -89,10 +88,10 @@ func BenchmarkStepAllocsNCFDP4(b *testing.B)    { benchStepAllocsNCF(b, 4) }
 func BenchmarkStepAllocsResNet(b *testing.B)    { benchStepAllocsResNet(b, 1) }
 func BenchmarkStepAllocsResNetDP4(b *testing.B) { benchStepAllocsResNet(b, 4) }
 
-// benchStepPipeline drives the pipeline-parallel engine (internal/pipeline)
-// through warm ResNet steps. Like the dist benchmarks above, the warm step
-// must report 0 allocs/op — the per-slot pooled tapes, boundary-transfer
-// cells, and stage-group rings keep GC out of the pipelined hot loop too.
+// benchStepPipeline drives the engine split into pipeline stages through
+// warm ResNet steps. Like the one-stage benchmarks above, the warm step
+// must report 0 allocs/op — the pooled tapes, boundary-transfer cells, and
+// stage-group rings keep GC out of the pipelined hot loop too.
 // CI's bench-smoke job greps BenchmarkStepPipeline* alongside
 // BenchmarkStepAllocs*.
 func benchStepPipeline(b *testing.B, stages, workers int, sched pipeline.Schedule) {

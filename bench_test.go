@@ -20,12 +20,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/goboard"
 	"repro/internal/mcts"
 	"repro/internal/models"
 	"repro/internal/opt"
 	"repro/internal/parallel"
+	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -459,9 +459,9 @@ func benchRunSetAt(b *testing.B, workers int) {
 func BenchmarkRunSetSerial(b *testing.B)     { benchRunSetAt(b, 1) }
 func BenchmarkRunSetConcurrent(b *testing.B) { benchRunSetAt(b, 0) }
 
-// --- Serial vs data-parallel training steps (the internal/dist engine) ---
+// --- Serial vs data-parallel training steps (the one-stage engine) ---
 //
-// One global step at a fixed global batch and microshard count, varying
+// One global step at a fixed global batch and microbatch count, varying
 // only the worker count. Every configuration trains bit-identically
 // (internal/dist/dist_test.go asserts it); only wall time may differ, and
 // speedup requires spare cores. Kernels are pinned serial so the
@@ -472,13 +472,13 @@ func benchDPNCFStepAt(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
 	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
 	hp := models.DefaultNCFHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   1, Microbatches: 8,
 		GlobalBatch: 256, DatasetN: len(ds.Train), Seed: 1,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewRecommendation(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -500,13 +500,13 @@ func benchDPImageStepAt(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
 	ds := datasets.GenerateImages(datasets.DefaultImageConfig())
 	hp := models.DefaultImageHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   1, Microbatches: 8,
 		GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 1,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewImageClassification(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	})
 	if err != nil {
 		b.Fatal(err)

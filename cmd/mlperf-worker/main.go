@@ -49,8 +49,7 @@ func launch() error {
 		version   = flag.String("version", "v0.5", "benchmark round: v0.5 or v0.6")
 		dp        = flag.Int("dp", 1, "data-parallel replicas K (ring all-reduce over TCP)")
 		pp        = flag.Int("pp", 1, "pipeline stages S (boundary activations over TCP); the grid runs K×S processes")
-		dpShards  = flag.Int("dp-shards", 0, "gradient-reduction microshards (PP == 1; 0 = auto)")
-		ppMicro   = flag.Int("pp-microbatches", 0, "microbatches per global batch (PP > 1; 0 = auto)")
+		ppMicro   = flag.Int("pp-microbatches", 0, "microbatches per global batch, the gradient-reduction grain of every topology (0 = auto: DP at PP == 1)")
 		ppSched   = flag.String("pp-schedule", "gpipe", "microbatch schedule: gpipe or 1f1b")
 		chunks    = flag.Int("chunks", 0, "ring all-reduce chunk count (0 = default)")
 		batch     = flag.Int("batch", 0, "global batch override (0 = the benchmark's reference batch)")
@@ -70,7 +69,7 @@ func launch() error {
 	spec := grid.Spec{
 		Benchmark: *benchmark, Version: *version,
 		DP: *dp, PP: *pp,
-		Microshards: *dpShards, Microbatches: *ppMicro, Schedule: *ppSched,
+		Microbatches: *ppMicro, Schedule: *ppSched,
 		Chunks: *chunks, GlobalBatch: *batch, Steps: *steps, Seed: *seed,
 		StragglerMS: strag.Milliseconds(),
 		CkptDir:     *ckptDir, CkptEvery: *ckptEvery, Resume: *resume,

@@ -54,13 +54,13 @@
 //	internal/metrics    — top-1, mAP, BLEU, HR@10, move match
 //	internal/models     — the 7 benchmark models; Transformer evaluation runs a
 //	                      batched, KV-cached, tape-free greedy decoder
-//	internal/dist       — synchronous data-parallel training engine (K worker
-//	                      replicas, deterministic chunked ring all-reduce;
-//	                      bit-identical across worker counts)
-//	internal/pipeline   — pipeline-parallel training engine (S cost-balanced
-//	                      model stages, GPipe/1F1B microbatch schedules,
+//	internal/pipeline   — the training engine for every parallel topology:
+//	                      data parallelism at one stage (K worker replicas,
+//	                      deterministic chunked ring all-reduce), S
+//	                      cost-balanced model stages under GPipe/1F1B, and
 //	                      hybrid DP×PP via per-stage ring groups;
-//	                      bit-identical across stages/schedules/workers)
+//	                      bit-identical across stages/schedules/workers
+//	internal/dist       — two type aliases of the engine kept for ttbench/
 //	internal/transport  — pluggable communication substrate under the
 //	                      engines (the Mesh contract): the in-process
 //	                      channel fabric (the bit-identity oracle) and a

@@ -3,8 +3,9 @@
 // raised quality targets, and large-batch rule changes (LARS) drive both
 // the 16-chip speedups of Figure 4 and the scale-out movement of Figure 5.
 //
-// With -measured, the study additionally runs the REAL data-parallel engine
-// (internal/dist) at 1/2/4/8 workers and reports measured per-step times
+// With -measured, the study additionally runs the REAL training engine
+// (internal/pipeline at one stage: pure data parallelism) at 1/2/4/8
+// workers and reports measured per-step times
 // and ring-all-reduce traffic alongside the analytic model — and calibrates
 // the analytic workload model against the measurement, so the simulated
 // figures and the executed engine tell one story.
@@ -32,7 +33,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
@@ -41,7 +41,7 @@ import (
 
 func main() {
 	figure := flag.Int("figure", 0, "4, 5, or 0 for both")
-	measured := flag.Bool("measured", false, "also run the real internal/dist engine at 1/2/4/8 workers and report measured scaling")
+	measured := flag.Bool("measured", false, "also run the real training engine (internal/pipeline, one stage) at 1/2/4/8 workers and report measured scaling")
 	pp := flag.Bool("pp", false, "also run the real internal/pipeline engine: serial vs DP4 vs PP4 vs 2x2 hybrid ResNet step times, plus the analytic pipeline axis")
 	steps := flag.Int("steps", 30, "measured steps per worker count (with -measured / -pp)")
 	batch := flag.Int("batch", 256, "global batch for the measured engine (with -measured)")
@@ -79,10 +79,10 @@ func main() {
 // runPPMeasured trains the ResNet workload under every parallelism layout
 // at a fixed global batch and a pinned microbatch count, so every
 // configuration performs bit-identical training and the only variable is
-// how the work is spread over goroutines: pure data parallelism
-// (internal/dist), pure pipeline parallelism under both schedules, and a
-// 2×2 hybrid (internal/pipeline). The tensor-kernel pool is pinned to one
-// worker, so the engines are the only source of parallelism.
+// how the work is spread over goroutines: pure data parallelism (one
+// stage), pure pipeline parallelism under both schedules, and a 2×2
+// hybrid, all on internal/pipeline. The tensor-kernel pool is pinned to
+// one worker, so the engine is the only source of parallelism.
 func runPPMeasured(steps, batch int) {
 	ds := datasets.GenerateImages(datasets.DefaultImageConfig())
 	hp := models.DefaultImageHParams()
@@ -93,32 +93,11 @@ func runPPMeasured(steps, batch int) {
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(oldWorkers)
 
-	fmt.Printf("\nMeasured DP vs PP vs hybrid: ResNet on internal/dist + internal/pipeline\n")
+	fmt.Printf("\nMeasured DP vs PP vs hybrid: ResNet on internal/pipeline\n")
 	fmt.Printf("(global batch %d, %d microbatches, %d steps per point, serial kernels, %d core(s) available;\n"+
 		" all layouts train bit-identically — speedup requires spare cores)\n",
 		batch, micro, steps, runtime.GOMAXPROCS(0))
 
-	distStep := func(workers int) time.Duration {
-		var reps []*models.ImageClassification
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: workers},
-			Microshards: micro,
-			GlobalBatch: batch, DatasetN: ds.Cfg.TrainN, Seed: seed,
-		}, func(worker int) dist.Replica {
-			m := models.NewImageClassification(ds, hp, seed)
-			reps = append(reps, m)
-			return dist.Replica{Model: m, Opt: m.Opt}
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer eng.Close()
-		eng.SetSchedule(reps[0].Sched)
-		for s := 0; s < steps; s++ {
-			eng.StepNext()
-		}
-		return eng.Stats().StepTime / time.Duration(steps)
-	}
 	pipeStep := func(stages, workers int, sched pipeline.Schedule) (time.Duration, pipeline.Stats) {
 		var reps []*models.ImageClassification
 		eng, err := pipeline.New(pipeline.Config{
@@ -128,11 +107,11 @@ func runPPMeasured(steps, batch int) {
 		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewImageClassification(ds, hp, seed)
 			reps = append(reps, m)
-			parts, err := m.PipelineStages(stages)
+			stageReps, err := pipeline.Split(stages, m, m.Opt, m.PipelineStages)
 			if err != nil {
 				panic(err)
 			}
-			return pipeline.Wrap(parts)
+			return stageReps
 		})
 		if err != nil {
 			panic(err)
@@ -146,9 +125,9 @@ func runPPMeasured(steps, batch int) {
 		return st.StepTime / time.Duration(steps), st
 	}
 
-	serial := distStep(1)
+	serial, _ := pipeStep(1, 1, "")
 	fmt.Printf("  %-22s %10s/step   speedup %.2fx\n", "serial", serial.Round(time.Microsecond), 1.0)
-	dp4 := distStep(4)
+	dp4, _ := pipeStep(1, 4, "")
 	fmt.Printf("  %-22s %10s/step   speedup %.2fx\n", "DP×4", dp4.Round(time.Microsecond), float64(serial)/float64(dp4))
 	for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
 		t, st := pipeStep(4, 1, sched)
@@ -181,37 +160,38 @@ func runPPMeasured(steps, batch int) {
 	}
 }
 
-// runMeasured trains the NCF recommendation model on the internal/dist
-// engine at increasing worker counts, at a fixed global batch and fixed
-// microshard count, so every configuration performs bit-identical training
+// runMeasured trains the NCF recommendation model on the one-stage
+// internal/pipeline engine at increasing worker counts, at a fixed global
+// batch and fixed microbatch count, so every configuration performs
+// bit-identical training
 // and the only variable is parallel execution. The tensor-kernel pool is
 // pinned to one worker for the duration, so the data-parallel workers are
 // the experiment's only source of parallelism.
 func runMeasured(steps, batch int) {
 	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
 	hp := models.DefaultNCFHParams()
-	const microshards = 8
+	const micro = 8
 	const seed = 1
 
 	oldWorkers := parallel.Workers()
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(oldWorkers)
 
-	fmt.Printf("\nMeasured data-parallel scaling: NCF on internal/dist\n")
-	fmt.Printf("(global batch %d, %d microshards, %d steps per point, serial kernels, %d core(s) available;\n"+
+	fmt.Printf("\nMeasured data-parallel scaling: NCF on internal/pipeline at one stage\n")
+	fmt.Printf("(global batch %d, %d microbatches, %d steps per point, serial kernels, %d core(s) available;\n"+
 		" all points train bit-identically — speedup requires spare cores)\n",
-		batch, microshards, steps, runtime.GOMAXPROCS(0))
+		batch, micro, steps, runtime.GOMAXPROCS(0))
 
 	var basePerStep time.Duration
 	var flatBytes int
 	for _, k := range []int{1, 2, 4, 8} {
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: k},
-			Microshards: microshards,
+		eng, err := pipeline.New(pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: k},
+			Stages:   1, Microbatches: micro,
 			GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
-		}, func(worker int) dist.Replica {
+		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewRecommendation(ds, hp, seed)
-			return dist.Replica{Model: m, Opt: m.Opt}
+			return pipeline.OneStage(m, m.Opt)
 		})
 		if err != nil {
 			panic(err)

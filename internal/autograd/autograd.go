@@ -19,7 +19,7 @@
 // gradient buffers, scratch space — it used at the same position last
 // pass. A warm tape therefore runs a full
 // forward/backward step with zero heap allocations, the property the
-// BenchmarkStepAllocs* benchmarks and internal/dist's steady-state tests
+// BenchmarkStepAllocs* benchmarks and the engine's steady-state tests
 // assert. Tapes built with NewTapeIn draw their tensor buffers from an
 // arena, so even cold growth recycles pooled memory.
 //

@@ -2,7 +2,7 @@ package autograd
 
 import "fmt"
 
-// Gradient flattening: the data-parallel engine (internal/dist) exchanges
+// Gradient flattening: the training engine (internal/pipeline) exchanges
 // gradients as one contiguous vector per replica, the layout collective
 // libraries (NCCL, Horovod) call a fusion buffer. The flat layout is the
 // concatenation of each parameter's gradient in parameter-list order, so

@@ -375,7 +375,7 @@ func TestGradSoftCrossEntropy(t *testing.T) {
 	})
 }
 
-// --- Gradient flattening (the dist engine's fusion-buffer layout) ---
+// --- Gradient flattening (the training engine's fusion-buffer layout) ---
 
 func TestFlattenScatterRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(5)

@@ -126,7 +126,7 @@ func (t *Tape) result(nd *node, shape ...int) *Var {
 
 // ReleaseBuffers returns every arena-backed tensor the tape's node pool
 // holds (outputs, gradients, scratch) to the tape's arena and clears the
-// pool. Owners tearing down a steady-state loop (e.g. dist.Engine.Close)
+// pool. Owners tearing down a steady-state loop (e.g. pipeline.Engine.Close)
 // call it so a shared arena recycles the tape's working set — the
 // dominant buffer population — for the next loop. The tape itself remains
 // usable; the next pass simply rebuilds cold.

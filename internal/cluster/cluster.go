@@ -72,10 +72,10 @@ func (w WorkloadModel) EpochsToTarget(b int) float64 {
 // CalibrateFromMeasurement returns a copy of w with FlopsPerSample fitted so
 // the analytic single-chip StepTime under the given round equals a measured
 // per-step duration, and ModelBytes set from a measured gradient payload
-// (e.g. 8 bytes per element of the dist engine's flattened gradient). The
+// (e.g. 8 bytes per element of the engine's flattened gradient). The
 // round's SoftwareEfficiency is folded into the fit, so the calibration
 // round-trips exactly for any round. This ties the analytic Figures 4/5
-// sweeps to the real data-parallel engine in internal/dist: the same
+// sweeps to the real data-parallel engine in internal/pipeline: the same
 // workload model then tells one story in both the simulated and the
 // measured scaling curves.
 func (w WorkloadModel) CalibrateFromMeasurement(stepSec float64, globalBatch int, chip Chip, round RoundConfig, modelBytes float64) WorkloadModel {

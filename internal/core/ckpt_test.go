@@ -47,7 +47,7 @@ func benchmarksForCrashSweep(t *testing.T) map[string]Benchmark {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp2, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microshards: 8}})
+	dp2, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microbatches: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,27 +10,25 @@ import (
 
 // Parallel describes a run's training topology: how many data-parallel
 // replicas, how the gradient reduction is sliced, and whether (and how) the
-// model is split into pipeline stages. The zero value is serial training.
+// model is split into pipeline stages. The zero value is serial training;
+// any other value trains on the internal/pipeline engine, where pure data
+// parallelism is the one-stage shape.
 type Parallel struct {
 	// DP is K, the data-parallel replica count. 0 means no data
 	// parallelism (serial, unless PPStages splits the model); with
-	// PPStages > 0 it replicates every stage instead (hybrid DP×PP).
+	// PPStages > 0 it replicates every stage (hybrid DP×PP).
 	DP int
-	// Microshards pins the dist engine's gradient-reduction granularity
-	// (0 selects 8 when DP divides 8, else DP). Runs sharing seed, batch,
-	// and Microshards are bit-identical at every DP count dividing it.
-	// Only meaningful without PPStages.
-	Microshards int
 	// PPStages is S, the pipeline depth; 0 selects no pipeline. The model
-	// is split into S cost-balanced contiguous stages on the
-	// internal/pipeline engine.
+	// is split into S cost-balanced contiguous stages.
 	PPStages int
 	// PPSchedule is the microbatch schedule for PPStages ("gpipe" or
 	// "1f1b"; empty selects gpipe). Never affects results.
 	PPSchedule string
-	// Microbatches pins the pipeline engine's reduction granularity
-	// (0 = auto). Runs sharing seed, batch, and Microbatches are
-	// bit-identical across every (stages, schedule, DP) combination.
+	// Microbatches pins the engine's gradient-reduction granularity for
+	// every topology (0 = auto: 8 when DP divides 8, else DP, without
+	// PPStages; the engine's default with them). Runs sharing seed, batch,
+	// and Microbatches are bit-identical across every (stages, schedule,
+	// DP) combination.
 	Microbatches int
 }
 
@@ -68,17 +66,10 @@ func Configure(v Version, id string, cfg TrainConfig) (Benchmark, error) {
 	}
 	p := cfg.Parallel
 	switch {
-	case p.PPStages != 0:
-		if cfg.Numerics.Mixed {
-			return Benchmark{}, fmt.Errorf("core: mixed-precision numerics do not decompose across pipeline stage shards (the master-weight/loss-scaling bracket is whole-model); use the f32 compute regime, or mixed precision with data-parallel/serial training")
-		}
-		workers := p.DP
-		if workers == 0 {
-			workers = 1
-		}
-		return ppBenchmark(v, id, p.PPStages, workers, p.Microbatches, p.PPSchedule, cfg.Numerics.Compute)
-	case p.DP != 0 || p.Microshards != 0:
-		return dpBenchmark(v, id, p.DP, p.Microshards, cfg.Numerics)
+	case p.PPStages > 1 && cfg.Numerics.Mixed:
+		return Benchmark{}, fmt.Errorf("core: mixed-precision numerics do not decompose across pipeline stage shards (the master-weight/loss-scaling bracket is whole-model); use the f32 compute regime, or mixed precision with data-parallel/serial training")
+	case p.PPStages != 0 || p.DP != 0 || p.Microbatches != 0:
+		return engineBenchmark(v, id, p, cfg.Numerics)
 	case cfg.Numerics.Compute != tensor.Float64 || cfg.Numerics.Mixed:
 		return numericsBenchmark(v, id, cfg.Numerics)
 	default:

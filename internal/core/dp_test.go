@@ -10,7 +10,7 @@ import (
 // A data-parallel run must flow through the same timing rules and produce
 // the same MLLOG structure as a serial run.
 func TestDPBenchmarkRunProducesCompliantLog(t *testing.T) {
-	b, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microshards: 8}})
+	b, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microbatches: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestDPBenchmarkRunProducesCompliantLog(t *testing.T) {
 // results stay in run order and quality values match a serial execution of
 // the same set.
 func TestDPBenchmarkInRunSet(t *testing.T) {
-	b, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microshards: 8}})
+	b, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microbatches: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

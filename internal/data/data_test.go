@@ -213,7 +213,7 @@ func TestLoaderDropLastBatchEqualsN(t *testing.T) {
 
 // Sharding a batch must be a partition in order: the concatenation of the
 // worker shards equals the original batch for every worker count, including
-// ragged lengths — the invariant the internal/dist engine relies on to keep
+// ragged lengths — the invariant the training engine relies on to keep
 // its gradient reduction worker-count-invariant.
 func TestShardConcatenationEqualsBatch(t *testing.T) {
 	for _, n := range []int{1, 7, 50, 64} {

@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/parallel"
+	"repro/internal/pipeline"
 	"repro/internal/transport"
 )
 
@@ -25,13 +25,13 @@ func TestStepAllocsZero(t *testing.T) {
 	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
 	hp := models.DefaultNCFHParams()
 	for _, workers := range []int{1, 4} {
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: workers},
-			Microshards: 8,
+		eng, err := pipeline.New(pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: workers},
+			Stages:   1, Microbatches: 8,
 			GlobalBatch: 256, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
-		}, func(worker int) dist.Replica {
+		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewRecommendation(ds, hp, 1)
-			return dist.Replica{Model: m, Opt: m.Opt}
+			return pipeline.OneStage(m, m.Opt)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -56,13 +56,13 @@ func TestArenaRecyclingAcrossEngines(t *testing.T) {
 	hp := models.DefaultNCFHParams()
 	pool := arena.New()
 	run := func() {
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: 2},
-			Microshards: 4, Arena: pool,
+		eng, err := pipeline.New(pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: 2},
+			Stages:   1, Microbatches: 4, Arena: pool,
 			GlobalBatch: 64, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
-		}, func(worker int) dist.Replica {
+		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewRecommendation(ds, hp, 1)
-			return dist.Replica{Model: m, Opt: m.Opt}
+			return pipeline.OneStage(m, m.Opt)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -92,12 +92,13 @@ func TestCloseIdempotent(t *testing.T) {
 	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
 	hp := models.DefaultNCFHParams()
 	for _, workers := range []int{1, 2} {
-		eng, err := dist.New(dist.Config{
+		eng, err := pipeline.New(pipeline.Config{
 			Endpoint:    transport.Endpoint{Workers: workers},
+			Stages:      1,
 			GlobalBatch: 16, DatasetN: len(ds.Train), Seed: 1,
-		}, func(worker int) dist.Replica {
+		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewRecommendation(ds, hp, 1)
-			return dist.Replica{Model: m, Opt: m.Opt}
+			return pipeline.OneStage(m, m.Opt)
 		})
 		if err != nil {
 			t.Fatal(err)

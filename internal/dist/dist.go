@@ -1,623 +1,15 @@
-// Package dist implements a real — not analytic — synchronous data-parallel
-// training engine: K simulated workers run as goroutines, each holding a
-// full replica of the model parameters and training on a data.Shard-derived
-// slice of every global minibatch. Gradients are exchanged per step through
-// a chunked ring all-reduce (pipelined reduce-scatter followed by an
-// all-gather leg) over the flattened gradient vector, the communication
-// pattern of the TPU-pod and GPU-cluster submissions the paper reports
-// (§5, Figures 4–5). internal/cluster models this analytically; this
-// package executes it, so scaling curves can be measured instead of only
-// simulated.
-//
-// The ring runs over the pluggable transport layer (internal/transport):
-// by default the workers are goroutines exchanging chunks through the
-// in-process channel fabric, but with Config.Mesh set the engine runs in
-// multi-process shard mode — it hosts only the worker Config.Rank names and
-// reduces gradients with the other OS processes over TCP (launched by
-// cmd/mlperf-worker; see internal/grid). Message copies preserve float64
-// bits, so the backend never affects results.
-//
-// # Determinism
-//
-// Gradient aggregation uses a fixed reduction order, making training
-// reproducible and — unlike naive data parallelism — invariant to the
-// worker count. The unit of reduction is the microshard: every global batch
-// is split into F = Config.Microshards contiguous shards (data.Shard
-// semantics), each microshard's gradient is computed by exactly one worker,
-// and the ring sums microshard gradients in ascending microshard order
-// regardless of how they are distributed over workers. Two runs with the
-// same seed, global batch, and Microshards therefore produce bit-identical
-// parameters at every step for ANY worker count dividing Microshards —
-// dist at K ∈ {2, 4, 8} workers matches the K = 1 serial run exactly, the
-// property the engine's tests assert. (Floating-point addition is not
-// associative, so without the fixed microshard order the partial sums would
-// drift across worker counts.)
+// Package dist keeps two names of the one training engine for the frozen
+// time-to-train benchmark in ttbench/, which asserts grid engines to
+// *dist.Engine and records dist.Stats. Data parallelism is the
+// internal/pipeline engine at one stage; new code names pipeline.Engine
+// and pipeline.Stats, and this package goes with the next change to
+// ttbench/.
 package dist
 
-import (
-	"fmt"
-	"sync"
-	"time"
+import "repro/internal/pipeline"
 
-	"repro/internal/arena"
-	"repro/internal/autograd"
-	"repro/internal/clock"
-	"repro/internal/data"
-	"repro/internal/opt"
-	"repro/internal/precision"
-	"repro/internal/tensor"
-	"repro/internal/transport"
-)
+// Engine is pipeline.Engine.
+type Engine = pipeline.Engine
 
-// Trainable is the per-replica model contract. internal/models workloads
-// implement it structurally (no import needed): the engine drives forward/
-// backward itself, so implementations only build the loss for one
-// microbatch.
-type Trainable interface {
-	// Params returns the replica's trainable parameters in a stable order
-	// (identical across replicas built from the same factory and seed).
-	Params() []*autograd.Param
-	// MicrobatchLoss runs the forward pass over the given example indices
-	// and returns the mean loss. All stochasticity (augmentation, negative
-	// sampling, dropout) must flow through rng, which the engine derives
-	// deterministically from (seed, step, microshard) so the same
-	// microshard sees the same randomness at every worker count.
-	MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor.RNG) *autograd.Var
-}
-
-// Replica couples one worker's model replica with its optimizer. Every
-// replica applies the identical aggregated gradient once per step, so
-// replicas (and their optimizer states) stay bit-identical forever — the
-// invariant real synchronous data parallelism maintains.
-type Replica struct {
-	Model Trainable
-	Opt   opt.Optimizer
-}
-
-// Config parameterizes the engine. The embedded transport.Endpoint carries
-// the communication-group spec shared with pipeline.Config: Workers (K),
-// Chunks, Clock, and the transport selection (Backend/Mesh/Rank for
-// multi-process shard mode).
-type Config struct {
-	transport.Endpoint
-
-	// GlobalBatch is the per-step example count, split over microshards.
-	GlobalBatch int
-	// Microshards is F, the fixed gradient-reduction granularity; it must
-	// be a multiple of Workers. 0 selects Workers — deterministic for that
-	// worker count, but cross-worker-count bit-identity requires pinning
-	// Microshards to one value (e.g. 8) for every run being compared.
-	Microshards int
-	// DatasetN is the number of training examples the engine's loader
-	// shuffles over.
-	DatasetN int
-	// DropLast forwards to the loader.
-	DropLast bool
-	// Seed drives epoch shuffling and the per-(step, microshard) RNG
-	// streams.
-	Seed uint64
-	// Schedule, when non-nil, sets every replica optimizer's learning rate
-	// from the global step before each update.
-	Schedule opt.Schedule
-	// Arena, when non-nil, is the shared buffer pool the engine draws its
-	// steady-state float buffers from — and returns them to on Close — so a
-	// sequence of engines (e.g. one per run of a run set) recycles buffers
-	// instead of growing the heap. Arena is goroutine-safe, so concurrent
-	// engines may share one. Nil gives the engine a private arena.
-	Arena *arena.Arena
-	// Numerics selects the training compute regime (§2.2.3). The zero
-	// value is the float64 reference path, bit-identical to pre-numerics
-	// engines. Reduced regimes keep the worker-count-invariance contract:
-	// the microshard reduction order is unchanged, and in the mixed
-	// (bf16 + loss scaling) regime every replica's scale decision is a
-	// deterministic function of the identical all-reduced gradients, so
-	// the per-replica MP trainers stay in lockstep.
-	Numerics precision.Numerics
-}
-
-// Stats counts the engine's communication and compute activity.
-type Stats struct {
-	// Steps is the number of optimizer steps taken.
-	Steps int
-	// RingMessages is the number of point-to-point chunk transfers,
-	// counted for the whole ring (all members, also in shard mode where
-	// only one member runs in this process).
-	RingMessages int
-	// RingBytes is the total payload moved over ring links (8 bytes per
-	// float64 element), counted for the whole ring like RingMessages.
-	RingBytes int
-	// StepTime is cumulative wall time spent inside Step.
-	StepTime time.Duration
-}
-
-// Engine is a synchronous data-parallel trainer over K replicas.
-type Engine struct {
-	cfg    Config
-	chunks int
-
-	// owned lists the worker indices this process hosts: all of [0, K) in
-	// the default in-process mode, exactly {Config.Rank} in multi-process
-	// shard mode. Per-worker slices below are K long with nil entries for
-	// workers hosted elsewhere.
-	owned []int
-
-	replicas []Replica
-	params   [][]*autograd.Param // cached per-replica parameter lists
-	flatLen  int
-
-	loader *data.Loader
-	epoch  int
-	step   int
-
-	gbuf   [][]float64 // F microshard gradient rows (owned microshards only)
-	agg    [][]float64 // K per-worker aggregated gradients (owned only)
-	losses []float64   // F per-microshard weighted losses
-
-	// ring is the chunked all-reduce collective, allocated once from the
-	// engine arena: its lanes are fully drained by the end of every step
-	// and the traveling chunk buffers are quiescent after the step barrier,
-	// so reuse keeps allocation out of the timed hot path that
-	// Stats.StepTime measures.
-	ring *Ring
-
-	// Steady-state worker state. Workers are persistent goroutines (spawned
-	// in New, stopped by Close): each owns a tape whose graph buffers are
-	// pooled in a per-worker arena free list, a reusable microshard RNG,
-	// and is signaled per step through its start channel. With everything
-	// below warm, Step performs zero heap allocations — the property the
-	// steady-state benchmarks assert.
-	buffers *arena.Arena
-	tapes   []*autograd.Tape
-	locals  []*arena.Local
-	mps     []*precision.MP // per-replica mixed-precision trainers (nil entries when not mixed)
-	rngs    []tensor.RNG
-	shards  [][]int
-	invB    float64
-	startCh []chan struct{}
-	stepWG  sync.WaitGroup
-	closed  bool
-
-	// First step failure (a peer death, a transport error) — sticky; once
-	// set the engine refuses further steps. Guarded by failMu: workers
-	// record concurrently, Step/Err read.
-	failMu  sync.Mutex
-	failErr error
-
-	// clock times Step (Config.Clock, defaulted in New).
-	clock clock.Clock
-
-	stats Stats
-}
-
-// New builds an engine. factory is called sequentially for each worker this
-// process hosts — 0..Workers-1 in the default mode, only Config.Rank in
-// shard mode — and must return replicas with bit-identical initial
-// parameters (build the same model from the same seed).
-func New(cfg Config, factory func(worker int) Replica) (*Engine, error) {
-	if err := cfg.Endpoint.Validate("dist"); err != nil {
-		return nil, err
-	}
-	if cfg.Sharded() && cfg.Mesh.World() != cfg.Workers {
-		return nil, fmt.Errorf("dist: Mesh world %d != Workers %d", cfg.Mesh.World(), cfg.Workers)
-	}
-	if cfg.GlobalBatch < 1 {
-		return nil, fmt.Errorf("dist: GlobalBatch %d < 1", cfg.GlobalBatch)
-	}
-	if cfg.DatasetN < 1 {
-		return nil, fmt.Errorf("dist: DatasetN %d < 1", cfg.DatasetN)
-	}
-	if cfg.DropLast && cfg.GlobalBatch > cfg.DatasetN {
-		return nil, fmt.Errorf("dist: DropLast with GlobalBatch %d > DatasetN %d yields zero steps per epoch", cfg.GlobalBatch, cfg.DatasetN)
-	}
-	if cfg.Microshards < 0 {
-		return nil, fmt.Errorf("dist: Microshards %d < 0 (0 selects Workers)", cfg.Microshards)
-	}
-	if cfg.Microshards == 0 {
-		cfg.Microshards = cfg.Workers
-	}
-	if cfg.Microshards < cfg.Workers || cfg.Microshards%cfg.Workers != 0 {
-		return nil, fmt.Errorf("dist: Microshards %d must be a positive multiple of Workers %d", cfg.Microshards, cfg.Workers)
-	}
-	if cfg.Microshards > cfg.GlobalBatch {
-		// With more microshards than examples per batch, some microshards
-		// are empty on EVERY step, so the workers owning only empty shards
-		// would silently train nothing (Workers > GlobalBatch is the
-		// degenerate case, since Microshards defaults to Workers).
-		return nil, fmt.Errorf("dist: Microshards %d > GlobalBatch %d leaves permanently empty gradient shards (reduce Workers/Microshards or raise the batch)", cfg.Microshards, cfg.GlobalBatch)
-	}
-	if factory == nil {
-		return nil, fmt.Errorf("dist: nil replica factory")
-	}
-
-	e := &Engine{cfg: cfg, clock: cfg.Clock}
-	if e.clock == nil {
-		e.clock = clock.NewReal()
-	}
-	if cfg.Sharded() {
-		e.owned = []int{cfg.Rank}
-	} else {
-		e.owned = make([]int, cfg.Workers)
-		for w := range e.owned {
-			e.owned[w] = w
-		}
-	}
-	e.replicas = make([]Replica, cfg.Workers)
-	e.params = make([][]*autograd.Param, cfg.Workers)
-	for _, w := range e.owned {
-		rep := factory(w)
-		if rep.Model == nil || rep.Opt == nil {
-			return nil, fmt.Errorf("dist: factory returned incomplete replica %d", w)
-		}
-		e.replicas[w] = rep
-		e.params[w] = rep.Model.Params()
-	}
-	e.flatLen = autograd.FlatSize(e.params[e.owned[0]])
-	if e.flatLen == 0 {
-		return nil, fmt.Errorf("dist: replica has no parameters")
-	}
-	// Cross-replica identity is only checkable within this process; in
-	// shard mode the bit-identity of remote replicas is the launcher's
-	// responsibility (same factory, same seed) and the trajectory digests
-	// exchanged through the rendezvous verify it after the fact.
-	for _, w := range e.owned {
-		if w != e.owned[0] && !autograd.ParamsEqual(e.params[w], e.params[e.owned[0]]) {
-			return nil, fmt.Errorf("dist: replica %d parameters differ from replica %d (factory must build identical replicas)", w, e.owned[0])
-		}
-	}
-
-	e.loader = data.NewLoader(cfg.DatasetN, cfg.GlobalBatch, LoaderRNG(cfg.Seed))
-	e.loader.DropLast = cfg.DropLast
-
-	// All steady-state float buffers come from the engine arena: the
-	// microshard gradient rows, the per-worker aggregates, and the ring's
-	// traveling chunks. With a shared cfg.Arena, Close returns them for
-	// reuse by the next engine drawing from the same pool.
-	e.buffers = cfg.Arena
-	if e.buffers == nil {
-		e.buffers = arena.New()
-	}
-	e.gbuf = make([][]float64, cfg.Microshards)
-	e.agg = make([][]float64, cfg.Workers)
-	K, F := cfg.Workers, cfg.Microshards
-	for _, w := range e.owned {
-		for m := w * F / K; m < (w+1)*F/K; m++ {
-			e.gbuf[m] = e.buffers.Get(e.flatLen) //mlperfvet:owns — engine state, released in Close
-		}
-		e.agg[w] = e.buffers.Get(e.flatLen) //mlperfvet:owns — engine state, released in Close
-	}
-	e.losses = make([]float64, cfg.Microshards)
-	e.shards = make([][]int, cfg.Microshards)
-	if cfg.Sharded() {
-		eps := make([]transport.Mesh, cfg.Workers)
-		eps[cfg.Rank] = cfg.Mesh
-		e.ring = NewRingOver(eps, cfg.Chunks, e.flatLen, e.buffers)
-	} else {
-		e.ring = NewRing(cfg.Workers, cfg.Chunks, e.flatLen, e.buffers)
-	}
-	e.chunks = e.ring.Chunks()
-
-	// Per-worker steady-state state: a tape backed by a private free list
-	// over the engine arena (only that worker's goroutine touches it) and a
-	// reusable microshard RNG.
-	e.tapes = make([]*autograd.Tape, cfg.Workers)
-	e.locals = make([]*arena.Local, cfg.Workers)
-	e.mps = make([]*precision.MP, cfg.Workers)
-	for _, w := range e.owned {
-		e.locals[w] = e.buffers.NewLocal()
-		e.tapes[w] = autograd.NewTapeIn(e.locals[w]) //mlperfvet:owns — engine state, released in Close
-		e.tapes[w].SetDType(cfg.Numerics.Compute)
-		e.mps[w] = cfg.Numerics.NewTrainer(e.params[w])
-	}
-	e.rngs = make([]tensor.RNG, cfg.Workers)
-
-	// Persistent worker goroutines: spawning per step would put one
-	// goroutine + closure allocation per worker on the hot path; instead
-	// each worker parks on its start channel and the step barrier is the
-	// shared WaitGroup. A single owned worker (serial engines, shard mode)
-	// runs inline on the Step goroutine instead.
-	if len(e.owned) > 1 {
-		e.startCh = make([]chan struct{}, cfg.Workers)
-		for _, w := range e.owned {
-			e.startCh[w] = make(chan struct{}, 1)
-			go func(w int) {
-				for range e.startCh[w] {
-					if err := e.runWorker(w, e.shards, e.invB); err != nil {
-						e.fail(err)
-					}
-					e.stepWG.Done()
-				}
-			}(w)
-		}
-	}
-	return e, nil
-}
-
-// Close stops the engine's persistent worker goroutines and returns the
-// engine's gradient, aggregate, and ring buffers to its arena (relevant
-// when Config.Arena is shared across engines). In shard mode the injected
-// Mesh is NOT closed — its lifecycle belongs to the launcher. The engine
-// must not be stepped afterwards; Close is idempotent and safe on serial
-// (Workers == 1) engines.
-func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for _, ch := range e.startCh {
-		if ch != nil {
-			close(ch)
-		}
-	}
-	for _, buf := range e.gbuf {
-		if buf != nil {
-			e.buffers.Put(buf)
-		}
-	}
-	for _, buf := range e.agg {
-		if buf != nil {
-			e.buffers.Put(buf)
-		}
-	}
-	e.ring.Close()
-	e.gbuf, e.agg = nil, nil
-	// The tapes hold the dominant buffer population (activations,
-	// gradients, conv scratch); release them into the per-worker free
-	// lists and spill those to the shared arena so the next engine drawing
-	// from cfg.Arena reuses the full working set. Safe from this
-	// goroutine: the workers are stopped.
-	for _, w := range e.owned {
-		e.tapes[w].ReleaseBuffers()
-		e.locals[w].Flush()
-	}
-}
-
-// Workers returns the engine's worker count (the whole group, also in shard
-// mode).
-func (e *Engine) Workers() int { return e.cfg.Workers }
-
-// Replica returns worker w's replica (replica 0 is the conventional source
-// for evaluation). In shard mode only the local rank's replica exists;
-// other workers return a zero Replica.
-func (e *Engine) Replica(w int) Replica { return e.replicas[w] }
-
-// Params returns the first locally-hosted replica's parameters (replica 0
-// in the default mode, the local rank's in shard mode).
-func (e *Engine) Params() []*autograd.Param { return e.params[e.owned[0]] }
-
-// FlatSize returns the flattened gradient length (the all-reduce payload in
-// elements; multiply by 8 for bytes).
-func (e *Engine) FlatSize() int { return e.flatLen }
-
-// Steps returns the number of optimizer steps taken.
-func (e *Engine) Steps() int { return e.step }
-
-// Epoch returns the number of completed training epochs.
-func (e *Engine) Epoch() int { return e.epoch }
-
-// StepsPerEpoch returns the engine loader's steps per epoch.
-func (e *Engine) StepsPerEpoch() int { return e.loader.StepsPerEpoch() }
-
-// Stats returns cumulative activity counters.
-func (e *Engine) Stats() Stats { return e.stats }
-
-// Err returns the first failure recorded by a step — a peer death or
-// transport error, typically a *transport.PeerError — or nil. Once set,
-// further Steps are refused (they return 0 immediately).
-func (e *Engine) Err() error {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return e.failErr
-}
-
-func (e *Engine) fail(err error) {
-	e.failMu.Lock()
-	if e.failErr == nil {
-		e.failErr = err
-	}
-	e.failMu.Unlock()
-}
-
-// InSync reports whether all locally-hosted replicas hold bit-identical
-// parameters (trivially true in shard mode).
-func (e *Engine) InSync() bool {
-	for _, w := range e.owned {
-		if !autograd.ParamsEqual(e.params[w], e.params[e.owned[0]]) {
-			return false
-		}
-	}
-	return true
-}
-
-// LoaderRNG derives the shuffling stream of an engine's loader from the run
-// seed. Exported so serial baselines can traverse the data in exactly the
-// engine's order. The stream depends only on the seed, never on the worker
-// count, so every worker count sees the same global batches.
-func LoaderRNG(seed uint64) *tensor.RNG { return tensor.NewRNG(seed).Split(0xDA7A) }
-
-// MicroshardRNG derives the deterministic randomness stream for microshard
-// m at the given step of a run seeded with seed: a pure function of
-// (seed, step, m), so the same microshard sees the same stream at every
-// worker count. Exported so serial baselines can replicate the engine's
-// randomness exactly. Supports up to 2^20 microshards.
-func MicroshardRNG(seed uint64, step, m int) *tensor.RNG {
-	r := &tensor.RNG{}
-	MicroshardRNGInto(r, seed, step, m)
-	return r
-}
-
-// MicroshardRNGInto reseeds dst in place to MicroshardRNG(seed, step, m)'s
-// stream — the allocation-free form the engine's steady-state step uses on
-// its per-worker RNGs.
-func MicroshardRNGInto(dst *tensor.RNG, seed uint64, step, m int) {
-	var root tensor.RNG
-	root.Reseed(seed ^ 0x9E3779B97F4A7C15)
-	root.SplitInto(uint64(step)<<20|uint64(m), dst)
-}
-
-// SetSchedule installs (or replaces) the learning-rate schedule applied to
-// every replica optimizer before each update. Useful when the schedule can
-// only be built after the replicas exist.
-func (e *Engine) SetSchedule(s opt.Schedule) { e.cfg.Schedule = s }
-
-// StepNext draws the next global minibatch from the engine's loader and
-// executes one synchronous data-parallel step, returning the mean loss.
-func (e *Engine) StepNext() float64 {
-	idx, _ := e.loader.Next()
-	return e.Step(idx)
-}
-
-// TrainEpoch runs one full pass over the training data and returns the mean
-// per-step loss. A step failure (see Err) ends the epoch early.
-func (e *Engine) TrainEpoch() float64 {
-	steps := e.loader.StepsPerEpoch()
-	total := 0.0
-	for i := 0; i < steps; i++ {
-		total += e.StepNext()
-		if e.Err() != nil {
-			break
-		}
-	}
-	e.epoch++
-	return total / float64(steps)
-}
-
-// Step executes one synchronous data-parallel training step over the given
-// global minibatch indices: each worker computes its microshards' gradients,
-// the workers ring-all-reduce the flattened gradients, and every replica
-// applies the identical aggregated update once. Returns the global mean
-// loss (the microshard-size-weighted mean, equal to the mean over all
-// examples). In shard mode every process must call Step with the identical
-// index set (the seeded loaders guarantee this for StepNext), and the
-// return value is only the LOCAL microshards' loss contribution — sum it
-// across processes (e.g. through the rendezvous results) for the global
-// mean. After a failure (Err non-nil) Step returns 0 without stepping.
-func (e *Engine) Step(idx []int) float64 {
-	if e.Err() != nil {
-		return 0
-	}
-	start := e.clock.Now()
-	K, F := e.cfg.Workers, e.cfg.Microshards
-
-	for m := range e.shards {
-		e.shards[m] = data.Shard(idx, m, F)
-	}
-	e.invB = 1 / float64(len(idx))
-
-	if len(e.owned) == 1 {
-		// Serial engines (K == 1) and shard mode both host one worker: run
-		// it inline on the caller's goroutine (in shard mode the other
-		// members are other OS processes rendezvousing inside AllReduce).
-		if err := e.runWorker(e.owned[0], e.shards, e.invB); err != nil {
-			e.fail(err)
-		}
-	} else {
-		// Wake the persistent workers (spawned in New) and wait for the
-		// step barrier. The channel sends happen-before each worker's
-		// iteration, so the shard/invB writes above are visible to it; the
-		// WaitGroup orders the workers' writes before the loss reduction
-		// below. The workers rendezvous inside Ring.AllReduce, whose
-		// buffered lanes make every send non-blocking, so the two
-		// collective legs pipeline freely without deadlock.
-		e.stepWG.Add(len(e.owned))
-		for _, w := range e.owned {
-			e.startCh[w] <- struct{}{}
-		}
-		e.stepWG.Wait()
-	}
-	if err := e.Err(); err != nil {
-		// The step died mid-collective: parameters may be mid-update at
-		// some members, so the engine stays failed rather than pretending
-		// the step completed.
-		return 0
-	}
-	if K > 1 {
-		e.stats.RingMessages += e.ring.RoundMessages()
-		e.stats.RingBytes += e.ring.RoundBytes()
-	}
-
-	e.step++
-	e.stats.Steps++
-	e.stats.StepTime += e.clock.Now() - start
-
-	// Weighted losses sum to the global mean loss; fixed ascending-m order
-	// keeps the value worker-count-invariant too. (Unowned microshards'
-	// entries are always zero, so in shard mode this is the local
-	// contribution.)
-	loss := 0.0
-	for m := 0; m < F; m++ {
-		loss += e.losses[m]
-	}
-	return loss
-}
-
-// runWorker is one worker's contribution to a step: local microshard
-// gradients, the ring exchange, and the local optimizer update. Worker w
-// owns the contiguous microshards [w·F/K, (w+1)·F/K). A transport failure
-// aborts the worker's ring membership (cascading to the other members) and
-// surfaces as the returned error.
-func (e *Engine) runWorker(w int, shards [][]int, invB float64) error {
-	K, F := e.cfg.Workers, e.cfg.Microshards
-	mlo, mhi := w*F/K, (w+1)*F/K
-	rep := e.replicas[w]
-	params := e.params[w]
-
-	// --- Local compute: one forward/backward per owned microshard ---
-	tape := e.tapes[w]
-	rng := &e.rngs[w]
-	mp := e.mps[w]
-	scale := 1.0
-	if mp != nil {
-		// Round this replica's live weights to the compute format for the
-		// whole step (every microshard sees the same rounded weights, as in
-		// the serial trainer) and seed each backward with the loss scale.
-		mp.BeginStep()
-		scale = mp.Scale()
-	}
-	for m := mlo; m < mhi; m++ {
-		row := e.gbuf[m]
-		shard := shards[m]
-		if len(shard) == 0 {
-			for i := range row {
-				row[i] = 0
-			}
-			e.losses[m] = 0
-			continue
-		}
-		for _, p := range params {
-			p.ZeroGrad()
-		}
-		tape.Reset()
-		MicroshardRNGInto(rng, e.cfg.Seed, e.step, m)
-		loss := rep.Model.MicrobatchLoss(tape, shard, rng)
-		tape.BackwardScaled(loss, scale)
-		// Weight by the microshard's share of the global batch so the
-		// reduced vector is the gradient of the global mean loss.
-		wgt := float64(len(shard)) * invB
-		autograd.FlattenGradsScaled(row, params, wgt)
-		e.losses[m] = loss.Scalar() * wgt
-	}
-
-	// --- Ring all-reduce over the flattened gradient ---
-	agg := e.agg[w]
-	if err := e.ring.AllReduce(w, e.gbuf, mlo, mhi, agg); err != nil {
-		// Withdraw from the ring so members blocked on this worker fail
-		// fast instead of deadlocking the step.
-		e.ring.Abort(w, err)
-		return err
-	}
-
-	// --- Apply the aggregated gradient once per step ---
-	autograd.ScatterGrads(agg, params)
-	opt.ApplySchedule(rep.Opt, e.cfg.Schedule, e.step)
-	if mp != nil {
-		// Apply restores the float64 masters, checks the all-reduced
-		// (scaled) gradient for overflow, and unscales before stepping.
-		// Every replica sees the identical aggregated gradient, so every
-		// replica makes the identical skip/backoff/growth decision and the
-		// per-replica scales never diverge.
-		mp.Apply(rep.Opt)
-	} else {
-		rep.Opt.Step()
-	}
-	return nil
-}
+// Stats is pipeline.Stats.
+type Stats = pipeline.Stats

@@ -7,10 +7,17 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/data"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/pipeline"
+	"repro/internal/precision"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
+
+// The tests in this package are the data-parallel tests of the one
+// training engine: internal/pipeline at Stages == 1, every model trained
+// whole as the engine's single stage (pipeline.OneStage). They keep their
+// place and names here until the package's aliases go.
 
 var recDSOnce = sync.OnceValue(func() *datasets.RecDataset {
 	return datasets.GenerateRec(datasets.DefaultRecConfig())
@@ -21,19 +28,19 @@ var imgDSOnce = sync.OnceValue(func() *datasets.ImageDataset {
 })
 
 // newNCFEngine builds a data-parallel NCF engine plus its replica models.
-func newNCFEngine(t testing.TB, workers, microshards, batch int, seed uint64) (*dist.Engine, []*models.Recommendation) {
+func newNCFEngine(t testing.TB, workers, microbatches, batch int, seed uint64) (*pipeline.Engine, []*models.Recommendation) {
 	t.Helper()
 	ds := recDSOnce()
 	hp := models.DefaultNCFHParams()
 	var reps []*models.Recommendation
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: microshards,
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   1, Microbatches: microbatches,
 		GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewRecommendation(ds, hp, seed)
 		reps = append(reps, m)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +49,7 @@ func newNCFEngine(t testing.TB, workers, microshards, batch int, seed uint64) (*
 }
 
 // flatValues snapshots replica 0's parameter values.
-func flatValues(eng *dist.Engine) []float64 {
+func flatValues(eng *pipeline.Engine) []float64 {
 	var out []float64
 	for _, p := range eng.Params() {
 		out = append(out, p.Value.Data...)
@@ -51,17 +58,17 @@ func flatValues(eng *dist.Engine) []float64 {
 }
 
 // The headline determinism property: at a fixed seed, global batch, and
-// microshard count, training with K ∈ {2, 4, 8} workers produces
+// microbatch count, training with K ∈ {2, 4, 8} workers produces
 // bit-identical parameters (and losses) to the K = 1 serial run.
 func TestDPBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	const (
-		microshards = 8
-		batch       = 64
-		seed        = 7
-		steps       = 24
+		microbatches = 8
+		batch        = 64
+		seed         = 7
+		steps        = 24
 	)
 	run := func(workers int) ([]float64, []float64) {
-		eng, _ := newNCFEngine(t, workers, microshards, batch, seed)
+		eng, _ := newNCFEngine(t, workers, microbatches, batch, seed)
 		var losses []float64
 		for s := 0; s < steps; s++ {
 			losses = append(losses, eng.StepNext())
@@ -84,9 +91,12 @@ func TestDPBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The engine at Workers=1, Microshards=1 must match a hand-written serial
+// The engine at Workers=1, Microbatches=1 must match a hand-written serial
 // training loop exactly: same loader stream, same per-step RNG, plain
 // zero-grad / backward / optimizer step with no flatten or ring machinery.
+// Under the bf16 mixed regime the loop brackets each step with the
+// mixed-precision trainer itself: round the weights, seed the backward
+// with the loss scale, apply through the trainer.
 func TestDPMatchesPlainSerialLoop(t *testing.T) {
 	const (
 		batch = 64
@@ -96,26 +106,40 @@ func TestDPMatchesPlainSerialLoop(t *testing.T) {
 	ds := recDSOnce()
 	hp := models.DefaultNCFHParams()
 
-	eng, _ := newNCFEngine(t, 1, 1, batch, seed)
-	for s := 0; s < steps; s++ {
-		eng.StepNext()
-	}
-
-	plain := models.NewRecommendation(ds, hp, seed)
-	loader := data.NewLoader(len(ds.Train), batch, dist.LoaderRNG(seed))
-	for s := 0; s < steps; s++ {
-		idx, _ := loader.Next()
-		for _, p := range plain.Params() {
-			p.ZeroGrad()
+	for _, num := range []precision.Numerics{{}, precision.NumericsFor(tensor.BFloat16)} {
+		eng := newNCFEngineNumerics(t, 1, 1, batch, seed, num)
+		for s := 0; s < steps; s++ {
+			eng.StepNext()
 		}
-		tape := autograd.NewTape()
-		loss := plain.MicrobatchLoss(tape, idx, dist.MicroshardRNG(seed, s, 0))
-		tape.Backward(loss)
-		plain.Opt.Step()
-	}
+		eng.Close()
 
-	if !autograd.ParamsEqual(eng.Params(), plain.Params()) {
-		t.Fatal("engine at workers=1 microshards=1 diverged from the plain serial loop")
+		plain := models.NewRecommendation(ds, hp, seed)
+		mp := num.NewTrainer(plain.Params())
+		loader := data.NewLoader(len(ds.Train), batch, pipeline.LoaderRNG(seed))
+		for s := 0; s < steps; s++ {
+			idx, _ := loader.Next()
+			scale := 1.0
+			if mp != nil {
+				mp.BeginStep()
+				scale = mp.Scale()
+			}
+			for _, p := range plain.Params() {
+				p.ZeroGrad()
+			}
+			tape := autograd.NewTape()
+			tape.SetDType(num.Compute)
+			loss := plain.MicrobatchLoss(tape, idx, pipeline.MicroshardRNG(seed, s, 0))
+			tape.BackwardScaled(loss, scale)
+			if mp != nil {
+				mp.Apply(plain.Opt)
+			} else {
+				plain.Opt.Step()
+			}
+		}
+
+		if !autograd.ParamsEqual(eng.Params(), plain.Params()) {
+			t.Fatalf("%v: engine at workers=1 microbatches=1 diverged from the plain serial loop", num.Compute)
+		}
 	}
 }
 
@@ -143,14 +167,14 @@ func TestDPChunkCountInvariant(t *testing.T) {
 	hp := models.DefaultNCFHParams()
 	run := func(chunks int) []float64 {
 		var reps []*models.Recommendation
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: 4, Chunks: chunks},
-			Microshards: 8,
+		eng, err := pipeline.New(pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: 4, Chunks: chunks},
+			Stages:   1, Microbatches: 8,
 			GlobalBatch: 64, DatasetN: len(ds.Train), Seed: 5,
-		}, func(worker int) dist.Replica {
+		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewRecommendation(ds, hp, 5)
 			reps = append(reps, m)
-			return dist.Replica{Model: m, Opt: m.Opt}
+			return pipeline.OneStage(m, m.Opt)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -171,18 +195,18 @@ func TestDPChunkCountInvariant(t *testing.T) {
 	}
 }
 
-// Ragged configurations — microshards not dividing the batch, final short
+// Ragged configurations — microbatches not dividing the batch, final short
 // batch of an epoch — must still train every example exactly once and stay
 // worker-count-invariant.
 func TestDPRaggedBatchBitIdentical(t *testing.T) {
 	const (
-		microshards = 6
-		batch       = 50 // not divisible by 6
-		seed        = 13
-		steps       = 8
+		microbatches = 6
+		batch        = 50 // not divisible by 6
+		seed         = 13
+		steps        = 8
 	)
 	run := func(workers int) []float64 {
-		eng, _ := newNCFEngine(t, workers, microshards, batch, seed)
+		eng, _ := newNCFEngine(t, workers, microbatches, batch, seed)
 		for s := 0; s < steps; s++ {
 			eng.StepNext()
 		}
@@ -206,19 +230,19 @@ func TestDPImageBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	hp := models.DefaultImageHParams()
 	run := func(workers int) []float64 {
 		var reps []*models.ImageClassification
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: workers},
-			Microshards: 4,
+		eng, err := pipeline.New(pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: workers},
+			Stages:   1, Microbatches: 4,
 			GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 2,
-		}, func(worker int) dist.Replica {
+		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewImageClassification(ds, hp, 2)
 			reps = append(reps, m)
-			return dist.Replica{Model: m, Opt: m.Opt}
+			return pipeline.OneStage(m, m.Opt)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetSchedule(reps[0].Sched)
+		eng.SetLRSchedule(reps[0].Sched)
 		for s := 0; s < 3; s++ {
 			eng.StepNext()
 		}
@@ -242,33 +266,33 @@ func TestDPImageBitIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestDPEngineValidation(t *testing.T) {
 	ds := recDSOnce()
 	hp := models.DefaultNCFHParams()
-	okFactory := func(worker int) dist.Replica {
+	okFactory := func(worker int) []pipeline.StageReplica {
 		m := models.NewRecommendation(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	}
 	cases := []struct {
 		name string
-		cfg  dist.Config
-		fac  func(int) dist.Replica
+		cfg  pipeline.Config
+		fac  func(int) []pipeline.StageReplica
 	}{
-		{"zero workers", dist.Config{Endpoint: transport.Endpoint{Workers: 0}, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"zero batch", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 0, DatasetN: 100}, okFactory},
-		{"zero dataset", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 0}, okFactory},
-		{"microshards not multiple", dist.Config{Endpoint: transport.Endpoint{Workers: 4}, Microshards: 6, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"negative workers", dist.Config{Endpoint: transport.Endpoint{Workers: -1}, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"negative chunks", dist.Config{Endpoint: transport.Endpoint{Workers: 2, Chunks: -1}, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"negative microshards", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, Microshards: -2, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"microshards exceed batch", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, Microshards: 16, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"workers exceed batch", dist.Config{Endpoint: transport.Endpoint{Workers: 16}, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"droplast batch over dataset", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 200, DatasetN: 100, DropLast: true}, okFactory},
-		{"nil factory", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 100}, nil},
-		{"mismatched replicas", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 100}, func(worker int) dist.Replica {
+		{"zero workers", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 0}, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"zero batch", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 0, DatasetN: 100}, okFactory},
+		{"zero dataset", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 0}, okFactory},
+		{"microbatches not multiple", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 4}, Microbatches: 6, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"negative workers", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: -1}, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"negative chunks", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 2, Chunks: -1}, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"negative microbatches", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 2}, Microbatches: -2, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"microbatches exceed batch", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 2}, Microbatches: 16, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"workers exceed batch", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 16}, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"droplast batch over dataset", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 200, DatasetN: 100, DropLast: true}, okFactory},
+		{"nil factory", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 100}, nil},
+		{"mismatched replicas", pipeline.Config{Stages: 1, Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 100}, func(worker int) []pipeline.StageReplica {
 			m := models.NewRecommendation(ds, hp, uint64(worker)) // different seeds: different init
-			return dist.Replica{Model: m, Opt: m.Opt}
+			return pipeline.OneStage(m, m.Opt)
 		}},
 	}
 	for _, c := range cases {
-		if _, err := dist.New(c.cfg, c.fac); err == nil {
+		if _, err := pipeline.New(c.cfg, c.fac); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}

@@ -3,26 +3,26 @@ package dist_test
 import (
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
 // newNCFEngineNumerics is newNCFEngine with an explicit compute regime.
-func newNCFEngineNumerics(t testing.TB, workers, microshards, batch int, seed uint64, num precision.Numerics) *dist.Engine {
+func newNCFEngineNumerics(t testing.TB, workers, microbatches, batch int, seed uint64, num precision.Numerics) *pipeline.Engine {
 	t.Helper()
 	ds := recDSOnce()
 	hp := models.DefaultNCFHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: microshards,
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   1, Microbatches: microbatches,
 		GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
 		Numerics: num,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewRecommendation(ds, hp, seed)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,22 +32,22 @@ func newNCFEngineNumerics(t testing.TB, workers, microshards, batch int, seed ui
 
 // TestDPNumericsBitIdenticalAcrossWorkerCounts extends the engine's
 // headline determinism property to the reduced compute regimes: at a
-// fixed seed, batch, and microshard count, f32 and bf16(+loss scaling)
+// fixed seed, batch, and microbatch count, f32 and bf16(+loss scaling)
 // training with K ∈ {2, 4} workers is bit-identical to the K = 1 run of
 // the SAME regime. The f32 GEMM keeps the ascending-k accumulation order
 // and every mixed-precision decision is a function of the identical
 // all-reduced gradient, so worker count still never changes results.
 func TestDPNumericsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	const (
-		microshards = 4
-		batch       = 64
-		seed        = 11
-		steps       = 16
+		microbatches = 4
+		batch        = 64
+		seed         = 11
+		steps        = 16
 	)
 	for _, d := range []tensor.DType{tensor.Float32, tensor.BFloat16} {
 		num := precision.NumericsFor(d)
 		run := func(workers int) ([]float64, []float64) {
-			eng := newNCFEngineNumerics(t, workers, microshards, batch, seed, num)
+			eng := newNCFEngineNumerics(t, workers, microbatches, batch, seed, num)
 			defer eng.Close()
 			var losses []float64
 			for s := 0; s < steps; s++ {
@@ -72,7 +72,7 @@ func TestDPNumericsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 		// The regime must actually engage: reduced-precision training has
 		// to diverge (in value, not quality) from the fp64 reference.
-		f64 := newNCFEngineNumerics(t, 1, microshards, batch, seed, precision.Numerics{})
+		f64 := newNCFEngineNumerics(t, 1, microbatches, batch, seed, precision.Numerics{})
 		defer f64.Close()
 		for s := 0; s < steps; s++ {
 			f64.StepNext()

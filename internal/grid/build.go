@@ -6,15 +6,15 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/transport"
 )
 
-// Engine is the slice of the dist/pipeline engine surface a grid worker
-// drives: fixed-step training, sticky failure, and the local parameter
-// shard for digesting. Both engines satisfy it.
+// Engine is the slice of the pipeline engine surface a grid worker drives:
+// fixed-step training, sticky failure, and the local parameter shard for
+// digesting.
 type Engine interface {
 	// StepNext draws the next global minibatch and executes one step,
 	// returning the LOCAL loss contribution (shard mode).
@@ -36,10 +36,7 @@ type Engine interface {
 	Close()
 }
 
-var (
-	_ Engine = (*dist.Engine)(nil)
-	_ Engine = (*pipeline.Engine)(nil)
-)
+var _ Engine = (*pipeline.Engine)(nil)
 
 // Datasets are generated once per process — deterministic synthetic data,
 // so every process derives the identical dataset from the config alone.
@@ -97,94 +94,64 @@ func Build(spec Spec, mesh transport.Mesh, rank int) (Engine, error) {
 			return nil, err
 		}
 	}
-	ep := transport.Endpoint{Workers: spec.DP, Chunks: spec.Chunks, Mesh: mesh, Rank: rank}
-	if mesh == nil {
-		ep.Rank = 0
+	cfg := pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: spec.DP, Chunks: spec.Chunks, Mesh: mesh, Rank: rank},
+		Stages:   spec.PP, Microbatches: spec.Microbatches,
+		Schedule:    pipeline.Schedule(spec.Schedule),
+		GlobalBatch: batch, Seed: spec.Seed,
 	}
-
-	if spec.PP == 1 {
-		cfg := dist.Config{
-			Endpoint:    ep,
-			Microshards: spec.Microshards,
-			GlobalBatch: batch, DatasetN: 0, Seed: spec.Seed,
+	if mesh == nil {
+		cfg.Rank = 0
+	}
+	// replica builds one worker's model: its stage list for the engine
+	// (the whole model at PP == 1) and its LR schedule (nil for none).
+	var replica func() ([]pipeline.StageReplica, opt.Schedule, error)
+	switch spec.Benchmark {
+	case "recommendation":
+		if spec.PP > 1 {
+			return nil, fmt.Errorf("grid: benchmark %q has no pipeline partitioner (use PP == 1)", spec.Benchmark)
 		}
-		switch spec.Benchmark {
-		case "recommendation":
-			ds := recDSOnce()
-			cfg.DatasetN = len(ds.Train)
-			hp := models.DefaultNCFHParams()
-			return dist.New(cfg, func(worker int) dist.Replica {
-				m := models.NewRecommendation(ds, hp, spec.Seed)
-				return dist.Replica{Model: m, Opt: m.Opt}
-			})
-		case "image_classification":
-			ds := imgDSOnce()
-			cfg.DatasetN = ds.Cfg.TrainN
-			hp := imageHParams(spec.Version)
-			var reps []*models.ImageClassification
-			eng, err := dist.New(cfg, func(worker int) dist.Replica {
-				m := models.NewImageClassification(ds, hp, spec.Seed)
-				reps = append(reps, m)
-				return dist.Replica{Model: m, Opt: m.Opt}
-			})
-			if err != nil {
-				return nil, err
-			}
-			eng.SetSchedule(reps[0].Sched)
-			return eng, nil
-		case "translation_transformer":
-			return nil, fmt.Errorf("grid: benchmark %q needs PP >= 2 (its grid support is the pipeline engine's)", spec.Benchmark)
+		ds, hp := recDSOnce(), models.DefaultNCFHParams()
+		cfg.DatasetN = len(ds.Train)
+		replica = func() ([]pipeline.StageReplica, opt.Schedule, error) {
+			m := models.NewRecommendation(ds, hp, spec.Seed)
+			return pipeline.OneStage(m, m.Opt), nil, nil
 		}
+	case "image_classification":
+		ds, hp := imgDSOnce(), imageHParams(spec.Version)
+		cfg.DatasetN = ds.Cfg.TrainN
+		replica = func() ([]pipeline.StageReplica, opt.Schedule, error) {
+			m := models.NewImageClassification(ds, hp, spec.Seed)
+			reps, err := pipeline.Split(spec.PP, m, m.Opt, m.PipelineStages)
+			return reps, m.Sched, err
+		}
+	case "translation_transformer":
+		if spec.PP == 1 {
+			return nil, fmt.Errorf("grid: benchmark %q needs PP >= 2", spec.Benchmark)
+		}
+		ds, hp := mtDSOnce(), models.DefaultTransformerHParams()
+		cfg.DatasetN = len(ds.Train)
+		replica = func() ([]pipeline.StageReplica, opt.Schedule, error) {
+			m := models.NewTranslation(ds, hp, spec.Seed)
+			reps, err := pipeline.Split(spec.PP, m, m.Opt, m.PipelineStages)
+			return reps, m.Sched, err
+		}
+	default:
 		return nil, fmt.Errorf("grid: unsupported benchmark %q (want recommendation, image_classification, or translation_transformer)", spec.Benchmark)
 	}
 
-	cfg := pipeline.Config{
-		Endpoint: ep,
-		Stages:   spec.PP, Microbatches: spec.Microbatches,
-		Schedule:    pipeline.Schedule(spec.Schedule),
-		GlobalBatch: batch, DatasetN: 0, Seed: spec.Seed,
-	}
-	switch spec.Benchmark {
-	case "image_classification":
-		ds := imgDSOnce()
-		cfg.DatasetN = ds.Cfg.TrainN
-		hp := imageHParams(spec.Version)
-		var reps []*models.ImageClassification
-		eng, err := pipeline.New(cfg, func(worker int) []pipeline.StageReplica {
-			m := models.NewImageClassification(ds, hp, spec.Seed)
-			reps = append(reps, m)
-			parts, err := m.PipelineStages(spec.PP)
-			if err != nil {
-				panic(err)
-			}
-			return pipeline.Wrap(parts)
-		})
+	var sched opt.Schedule
+	eng, err := pipeline.New(cfg, func(worker int) []pipeline.StageReplica {
+		reps, s, err := replica()
 		if err != nil {
-			return nil, err
+			panic(err)
 		}
-		eng.SetLRSchedule(reps[0].Sched)
-		return eng, nil
-	case "translation_transformer":
-		ds := mtDSOnce()
-		cfg.DatasetN = len(ds.Train)
-		hp := models.DefaultTransformerHParams()
-		var reps []*models.Translation
-		eng, err := pipeline.New(cfg, func(worker int) []pipeline.StageReplica {
-			m := models.NewTranslation(ds, hp, spec.Seed)
-			reps = append(reps, m)
-			parts, err := m.PipelineStages(spec.PP)
-			if err != nil {
-				panic(err)
-			}
-			return pipeline.Wrap(parts)
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng.SetLRSchedule(reps[0].Sched)
-		return eng, nil
-	case "recommendation":
-		return nil, fmt.Errorf("grid: benchmark %q has no pipeline partitioner (use PP == 1)", spec.Benchmark)
+		sched = s // the same schedule for every worker
+		return reps
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("grid: unsupported benchmark %q (want recommendation, image_classification, or translation_transformer)", spec.Benchmark)
+	eng.SetLRSchedule(sched)
+	return eng, nil
 }

@@ -4,12 +4,12 @@
 // (internal/transport) carrying the ring all-reduce and pipeline boundary
 // traffic between the processes.
 //
-// The layout matches the engines' shard mode: a Spec with DP = K data-
-// parallel replicas and PP = S pipeline stages runs as K·S processes, where
-// process rank = k·S + s hosts replica k's stage s. PP == 1 selects the
-// internal/dist engine (pure data parallelism); PP > 1 selects
-// internal/pipeline. Every process builds the same model from the same
-// seed, so the grid trains exactly the run the in-process engines train —
+// The layout matches the engine's shard mode: a Spec with DP = K data-
+// parallel replicas and PP = S pipeline stages runs as K·S processes on the
+// internal/pipeline engine, where process rank = k·S + s hosts replica k's
+// stage s (PP == 1 is pure data parallelism: the whole model is the
+// engine's one stage). Every process builds the same model from the same
+// seed, so the grid trains exactly the run the in-process engine trains —
 // the transport copies float64 bits, and the per-step parameter-trajectory
 // digests each worker reports through the rendezvous (see Digest) witness
 // the bit-identity across backends.
@@ -54,10 +54,8 @@ type Spec struct {
 	DP int `json:"dp,omitempty"`
 	// PP is S, the pipeline depth (0 selects 1 = no pipeline).
 	PP int `json:"pp,omitempty"`
-	// Microshards pins the dist engine's reduction grain (PP == 1; 0 auto).
-	Microshards int `json:"microshards,omitempty"`
-	// Microbatches pins the pipeline engine's reduction grain (PP > 1;
-	// 0 auto).
+	// Microbatches pins the engine's reduction grain (0 selects the
+	// engine's default: DP at PP == 1).
 	Microbatches int `json:"microbatches,omitempty"`
 	// Schedule is the pipeline microbatch schedule ("gpipe" or "1f1b";
 	// empty selects gpipe). Never affects results.

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/leakcheck"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/transport"
 )
 
@@ -81,19 +81,19 @@ func launchSelf(t *testing.T, spec Spec, opts StartOptions) *Cluster {
 	return c
 }
 
-// serialDigest runs the serial (one-worker dist) baseline and returns its
-// trajectory digest plus final parameter values by name — the PR 4 oracle
-// the multi-process runs must reproduce.
-func serialDigest(t *testing.T, microshards, globalBatch, steps int, seed uint64) (string, map[string][]float64) {
+// serialDigest runs the serial (one-worker, one-stage engine) baseline and
+// returns its trajectory digest plus final parameter values by name — the
+// oracle the multi-process runs must reproduce.
+func serialDigest(t *testing.T, microbatches, globalBatch, steps int, seed uint64) (string, map[string][]float64) {
 	t.Helper()
 	ds := recDSOnce()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: 1},
-		Microshards: microshards,
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: 1},
+		Stages:   1, Microbatches: microbatches,
 		GlobalBatch: globalBatch, DatasetN: len(ds.Train), Seed: seed,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewRecommendation(ds, models.DefaultNCFHParams(), seed)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.OneStage(m, m.Opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestMultiProcDP2BitIdentical(t *testing.T) {
 	}
 	spec := Spec{
 		Benchmark: "recommendation",
-		DP:        2, Microshards: 4,
+		DP:        2, Microbatches: 4,
 		Steps: 3, Seed: 11,
 	}
 
@@ -142,7 +142,7 @@ func TestMultiProcDP2BitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, _ := serialDigest(t, spec.Microshards, batch, spec.Steps, spec.Seed)
+	serial, _ := serialDigest(t, spec.Microbatches, batch, spec.Steps, spec.Seed)
 
 	for r, res := range results {
 		if res == nil || res.Err != "" {
@@ -207,7 +207,7 @@ func TestMultiProcWorkerKillDetected(t *testing.T) {
 	}
 	spec := Spec{
 		Benchmark: "recommendation",
-		DP:        2, Microshards: 2,
+		DP:        2, Microbatches: 2,
 		Steps: 100000, // far more than can run before the kill
 		Seed:  1,
 	}
@@ -268,7 +268,7 @@ func TestMultiProcStragglerDetected(t *testing.T) {
 	}
 	spec := Spec{
 		Benchmark: "recommendation",
-		DP:        2, Microshards: 2,
+		DP:        2, Microbatches: 2,
 		Steps: 50, Seed: 1,
 		StragglerMS: 500,
 		HangAfter:   2, HangRank: 1,
@@ -298,7 +298,7 @@ func TestMultiProcStragglerDetected(t *testing.T) {
 // build/step/close cycle across both engine kinds leaves no goroutines.
 func TestReferenceNoGoroutineLeak(t *testing.T) {
 	check := leakcheck.Check(t)
-	if _, err := Reference(Spec{Benchmark: "recommendation", DP: 2, Microshards: 2, Steps: 2, Seed: 3}); err != nil {
+	if _, err := Reference(Spec{Benchmark: "recommendation", DP: 2, Microbatches: 2, Steps: 2, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Reference(Spec{Benchmark: "image_classification", DP: 1, PP: 2, Microbatches: 2, Steps: 1, Seed: 3}); err != nil {
@@ -312,7 +312,7 @@ func TestReferenceNoGoroutineLeak(t *testing.T) {
 // goroutines — the Close-after-failure audit.
 func TestEngineTeardownAfterPeerDeath(t *testing.T) {
 	check := leakcheck.Check(t)
-	spec := Spec{Benchmark: "recommendation", DP: 2, Microshards: 2, Steps: 4, Seed: 9}
+	spec := Spec{Benchmark: "recommendation", DP: 2, Microbatches: 2, Steps: 4, Seed: 9}
 	fab := transport.NewLocalFabric(2, nil)
 
 	engines := make([]Engine, 2)

@@ -41,7 +41,7 @@ func TestSupervisedChaosRunBitIdentical(t *testing.T) {
 	}{
 		{"dp2", Spec{
 			Benchmark: "recommendation",
-			DP:        2, Microshards: 2,
+			DP:        2, Microbatches: 2,
 			Steps: 6, Seed: 11,
 		}},
 		{"dp2pp2", Spec{
@@ -155,7 +155,7 @@ func TestMultiProcResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	full := Spec{
 		Benchmark: "recommendation",
-		DP:        2, Microshards: 2,
+		DP:        2, Microbatches: 2,
 		Steps: 4, Seed: 3,
 		CkptDir: dir, CkptEvery: 1,
 	}

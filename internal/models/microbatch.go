@@ -1,13 +1,14 @@
 package models
 
-// Microbatch adapters: the internal/dist data-parallel engine drives
-// workloads through a finer-grained contract than Workload — it owns the
-// loader, tape, and optimizer step itself and only needs the forward pass
-// for one microshard of a global batch. The methods below satisfy
-// dist.Trainable structurally. All stochasticity (negative sampling,
-// augmentation) flows through the rng argument, which the engine derives
-// from (seed, step, microshard), so a microshard sees identical randomness
-// at every worker count — the bit-identity invariant dist's tests assert.
+// Microbatch adapters: the internal/pipeline engine trains a whole model
+// as its one stage (data parallelism) through a finer-grained contract
+// than Workload — it owns the loader, tape, and optimizer step itself and
+// only needs the forward pass for one microbatch of a global batch. The
+// methods below satisfy pipeline.Trainable structurally. All
+// stochasticity (negative sampling, augmentation) flows through the rng
+// argument, which the engine derives from (seed, step, microbatch), so a
+// microbatch sees identical randomness at every worker count — the
+// bit-identity invariant the engine's tests assert.
 
 import (
 	"repro/internal/autograd"
@@ -17,11 +18,11 @@ import (
 )
 
 // Params exposes the recommendation workload's trainable parameters
-// (dist.Trainable contract).
+// (pipeline.Trainable contract).
 func (w *Recommendation) Params() []*autograd.Param { return w.params }
 
-// MicrobatchLoss builds the NCF training loss for one microshard of
-// interaction indices (dist.Trainable contract). Negative sampling draws
+// MicrobatchLoss builds the NCF training loss for one microbatch of
+// interaction indices (pipeline.Trainable contract). Negative sampling draws
 // from the supplied rng rather than the workload's sequential stream.
 // Batch assembly reuses the workload's persistent buffers, so a warm call
 // allocates nothing.
@@ -34,12 +35,12 @@ func (w *Recommendation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *ten
 }
 
 // Params exposes the image-classification workload's trainable parameters
-// (dist.Trainable contract).
+// (pipeline.Trainable contract).
 func (w *ImageClassification) Params() []*autograd.Param { return w.params }
 
-// MicrobatchLoss builds the ResNet training loss for one microshard of
-// image indices (dist.Trainable contract). Augmentation draws from the
-// supplied rng. Batch-norm statistics are computed per microshard (ghost
+// MicrobatchLoss builds the ResNet training loss for one microbatch of
+// image indices (pipeline.Trainable contract). Augmentation draws from the
+// supplied rng. Batch-norm statistics are computed per microbatch (ghost
 // batch norm, as in real data-parallel training without synchronized BN),
 // and running eval statistics accumulate per replica; trainable parameters
 // remain bit-identical across replicas. The Figure-1 precision policy is

@@ -3,7 +3,7 @@ package models
 // Staged partitioners: the internal/pipeline engine trains a model split
 // into S contiguous stages, each owning a disjoint slice of the layers.
 // The types below satisfy pipeline.Stage structurally (no import needed,
-// like the dist.Trainable adapters in microbatch.go): Forward runs one
+// like the pipeline.Trainable adapters in microbatch.go): Forward runs one
 // stage's segment over one microbatch, wiring upstream boundary
 // activations (differentiable leaves supplied by the engine) through the
 // stage's layers and returning the boundary payload for the next stage.
@@ -454,16 +454,16 @@ func mtFlattenInto(ds *datasets.MTDataset, idx []int, srcLen, tgtLen int, src, d
 }
 
 // Params exposes the translation workload's trainable parameters
-// (dist.Trainable / pipeline baseline contract).
+// (pipeline.Trainable contract).
 func (w *Translation) Params() []*autograd.Param { return w.params }
 
 // MicrobatchLoss builds the Transformer training loss for one microbatch
 // of sentence-pair indices — the serial oracle the staged pipeline is
-// bit-identical to, and the adapter that makes the Transformer benchmark
-// trainable on the internal/dist data-parallel engine. The op sequence is
+// bit-identical to, and the adapter that trains the whole Transformer as
+// the pipeline engine's one stage. The op sequence is
 // exactly the staged units' composition at S = 1: tied source and target
 // embeddings first, then encoder blocks, decoder blocks, and the
-// projection head. (Note this path, like dist's, applies no global
+// projection head. (Note this path, like the engine's, applies no global
 // gradient clipping — the engines own the update.)
 func (w *Translation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor.RNG) *autograd.Var {
 	w.mbSrc, w.mbDec, w.mbLab = mtFlattenInto(w.DS, idx, w.srcLen, w.tgtLen, w.mbSrc, w.mbDec, w.mbLab)

@@ -7,11 +7,11 @@ package models
 // ApplySchedule position, which is just Step), the mixed-precision
 // trainer's loss-scale position, auxiliary RNG stream positions, the
 // loader's permutation cursor, and the step/epoch counters.
-// internal/ckpt serializes it; workloads and the dist/pipeline engines
+// internal/ckpt serializes it; workloads and the training engine
 // implement CaptureTrainState/RestoreTrainState over it.
 //
-// The per-(step, microshard) RNG streams of the parallel engines need no
-// entry here: they are pure functions of (seed, step, microshard),
+// The per-(step, microbatch) RNG streams of the engine need no
+// entry here: they are pure functions of (seed, step, microbatch),
 // reseeded every step, so the Step counter alone restores them.
 
 import (
@@ -44,8 +44,8 @@ type TrainState struct {
 	// Params is the parameter snapshot (never nil in a valid state).
 	Params *Snapshot
 	// Opts holds the optimizer states: one entry for single-optimizer
-	// workloads and the dist engine (replicas are bit-identical), one per
-	// local stage for the pipeline engine.
+	// workloads, one per local stage for the engine (replicas are
+	// bit-identical, so one worker's stages cover them all).
 	Opts []opt.State
 	// MP is the mixed-precision trainer position (nil in non-mixed runs).
 	MP *precision.MPState

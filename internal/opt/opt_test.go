@@ -239,7 +239,7 @@ func TestStepMonotoneProperty(t *testing.T) {
 
 // Two optimizer instances of the same kind, driven with bit-identical
 // parameters and gradients, must produce bit-identical updates — the
-// replica-synchronization invariant the internal/dist data-parallel engine
+// replica-synchronization invariant the data-parallel training engine
 // relies on (every replica applies the aggregated gradient through its own
 // optimizer instance).
 func TestOptimizersDeterministicAcrossInstances(t *testing.T) {

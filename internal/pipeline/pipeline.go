@@ -1,14 +1,16 @@
-// Package pipeline implements a real — not analytic — pipeline-parallel
-// training engine, the model-parallel scale axis the paper's companions
-// ("Scale MLPerf-0.6 models on Google TPU-v3 Pods", "Exploring the Limits
-// of Concurrency in ML Training on Google TPUs") use once data parallelism
-// alone stops scaling (§5, Figures 4–5). A layered model is split into S
-// contiguous stages (cost-balanced cuts at block boundaries; see the
-// partitioners in internal/models); each global minibatch is split into M
-// microbatches that flow through the stage runtimes, which exchange
-// boundary activations and activation-gradients over the pluggable
-// transport layer (internal/transport). Two microbatch schedules are
-// implemented, selected by Config.Schedule:
+// Package pipeline implements the repo's real — not analytic — training
+// engine for every parallel topology: data parallelism, pipeline
+// parallelism, and both at once. Pipelining is the model-parallel scale
+// axis the paper's companions ("Scale MLPerf-0.6 models on Google TPU-v3
+// Pods", "Exploring the Limits of Concurrency in ML Training on Google
+// TPUs") use once data parallelism alone stops scaling (§5, Figures 4–5);
+// data parallelism is the same engine at S = 1 (see below). A layered
+// model is split into S contiguous stages (cost-balanced cuts at block
+// boundaries; see the partitioners in internal/models); each global
+// minibatch is split into M microbatches that flow through the stage
+// runtimes, which exchange boundary activations and activation-gradients
+// over the pluggable transport layer (internal/transport). Two microbatch
+// schedules are implemented, selected by Config.Schedule:
 //
 //	GPipe (fill-drain)                    1F1B (one-forward-one-backward)
 //	S0 F0 F1 F2 F3 ·· ·· ·· B3 B2 B1 B0   S0 F0 F1 F2 B0 F3 B1 B2 B3
@@ -18,7 +20,8 @@
 // (Fj/Bj = forward/backward of microbatch j; time flows right. GPipe runs
 // every forward before any backward, keeping all M microbatches live; 1F1B
 // drains backwards as soon as the pipeline is full, bounding live
-// microbatches per stage at S−s while filling the same (S−1)/M bubble.)
+// microbatches — and so tapes — per stage at S−s while filling the same
+// (S−1)/M bubble.)
 //
 // By default the S·K stage runtimes are goroutines exchanging boundary
 // frames through the in-process channel fabric; with Config.Mesh set the
@@ -30,8 +33,10 @@
 //
 // # Determinism
 //
-// Both schedules are bit-identical to the serial microbatch baseline — the
-// same oracle discipline as internal/dist. The unit of gradient reduction
+// Both schedules are bit-identical to the serial microbatch baseline: per
+// microbatch a forward, a backward, and the gradient weighted by the
+// microbatch's share of the batch, summed over microbatches in ascending
+// order before one optimizer step. The unit of gradient reduction
 // is the microbatch: each stage computes every owned microbatch's gradient
 // into its own row (per-microbatch forward/backward is the same op
 // sequence as the unsplit model, because stage boundaries are numerically
@@ -39,7 +44,7 @@
 // regardless of the schedule's backward execution order. Runs sharing
 // seed, global batch, and Microbatches therefore produce bit-identical
 // parameters for ANY (Stages, Schedule, Workers) combination — the grid
-// the engine's tests assert against internal/dist's serial baseline.
+// the engine's tests assert against a hand-written serial microbatch loop.
 //
 // Boundary transfers need only ordered per-(sender, receiver, stream)
 // lanes, which every Mesh guarantees: forward slots are produced and
@@ -53,9 +58,20 @@
 // Config.Workers replicates every stage K ways: replica k owns the
 // contiguous microbatches [k·M/K, (k+1)·M/K), runs its own pipeline over
 // them, and the K replicas of each stage then sum all M gradient rows with
-// the chunked ring all-reduce shared with internal/dist (dist.Ring) — S
-// concurrent stage-group rings over disjoint parameter shards, each 1/S
-// the payload of pure data parallelism.
+// the chunked ring all-reduce (Ring) — S concurrent stage-group rings over
+// disjoint parameter shards, each 1/S the payload of pure data parallelism.
+//
+// # Data parallelism: S = 1
+//
+// At Stages == 1 the engine is a synchronous data-parallel trainer: OneStage
+// adapts any whole model (Trainable) and its optimizer into the single
+// stage, each of the K replicas computes its M/K microbatch gradients, and
+// one ring sums all M rows. With no boundary to wait on, every schedule
+// runs each microbatch's forward and backward back to back (1F1B with an
+// empty warmup), so a replica holds one live tape and the model may reuse
+// its batch buffers across microbatches. Only this shape admits the
+// mixed-precision step bracket (Config.Numerics.Mixed): master-weight
+// rounds and dynamic loss scaling act on the whole model at once.
 package pipeline
 
 import (
@@ -67,8 +83,8 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/clock"
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/opt"
+	"repro/internal/precision"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -76,7 +92,7 @@ import (
 // Boundary stream tags (see the transport.Mesh stream contract). Forward
 // and backward boundaries flow between adjacent-stage ranks, disjoint from
 // the stage-group rings' same-stage rank pairs, so the tags cannot collide
-// with dist.Ring traffic on a shared multi-process mesh.
+// with Ring traffic on a shared multi-process mesh.
 const (
 	streamFwd uint32 = 1 // forward activations, stage s -> s+1
 	streamBwd uint32 = 2 // activation gradients, stage s+1 -> s
@@ -108,8 +124,8 @@ type Stage interface {
 	// idx; later stages receive the upstream boundary activations as
 	// differentiable leaves. The last stage returns exactly one output:
 	// the scalar microbatch mean loss. All stochasticity must flow
-	// through rng (derived from (seed, step, microbatch), the dist
-	// discipline). The returned slice must stay valid until the next
+	// through rng (derived from (seed, step, microbatch); see
+	// MicroshardRNG). The returned slice must stay valid until the next
 	// Forward call with the same slot.
 	Forward(tape *autograd.Tape, slot int, idx []int, rng *tensor.RNG, in []*autograd.Var) []*autograd.Var
 }
@@ -141,25 +157,27 @@ func Wrap[T StageWithOpt](parts []T) []StageReplica {
 }
 
 // Config parameterizes the engine. The embedded transport.Endpoint carries
-// the communication-group spec shared with dist.Config: Workers (K, the
-// per-stage replica count; K > 1 gives hybrid DP×PP), Chunks (the
+// the communication-group spec: Workers (K, the per-stage replica count;
+// K > 1 gives data parallelism, hybrid DP×PP at S > 1), Chunks (the
 // stage-group ring grain), Clock, and the transport selection. In
 // multi-process shard mode Mesh's world must be Stages·Workers and Rank
 // names the (replica, stage) cell rank = k·Stages + s this process hosts.
 type Config struct {
 	transport.Endpoint
 
-	// Stages is S, the pipeline depth (>= 1).
+	// Stages is S, the pipeline depth (>= 1; 1 is pure data parallelism).
 	Stages int
 	// Microbatches is M, the number of microbatches per global minibatch
 	// and the fixed gradient-reduction granularity. It must be a positive
 	// multiple of Workers and at most GlobalBatch. 0 selects
-	// Workers·min(Stages, GlobalBatch/Workers) — reasonable for that
-	// shape, but cross-configuration bit-identity requires pinning
-	// Microbatches to one value for every run being compared.
+	// Workers·min(Stages, GlobalBatch/Workers) (Workers at S = 1) —
+	// reasonable for that shape, but cross-configuration bit-identity
+	// requires pinning Microbatches to one value for every run being
+	// compared.
 	Microbatches int
 	// Schedule picks the microbatch order; empty selects GPipe. It never
-	// affects results, only the activation-liveness profile.
+	// affects results, only the activation-liveness profile (and nothing
+	// at S = 1, where every schedule is 1F1B).
 	Schedule Schedule
 	// GlobalBatch is the per-step example count.
 	GlobalBatch int
@@ -168,8 +186,7 @@ type Config struct {
 	// DropLast forwards to the loader.
 	DropLast bool
 	// Seed drives epoch shuffling and per-(step, microbatch) RNG streams
-	// (identical derivations to internal/dist, so the serial dist engine
-	// is this engine's oracle).
+	// (LoaderRNG, MicroshardRNG).
 	Seed uint64
 	// LR, when non-nil, sets every stage optimizer's learning rate from
 	// the global step before each update.
@@ -177,14 +194,15 @@ type Config struct {
 	// Arena, when non-nil, is the shared buffer pool the engine draws its
 	// steady-state float buffers from (and returns them to on Close).
 	Arena *arena.Arena
-	// DType selects the tape compute dtype for every stage (§2.2.3); the
-	// zero value is the float64 reference. Reduced dtypes keep the
-	// engine's determinism contract (the microbatch reduction order is
-	// unchanged), but the full mixed-precision recipe (master-weight
-	// rounds + dynamic loss scaling) is a whole-model step bracket and is
-	// not supported across stage shards — use dist or the serial trainers
-	// for the bf16 mixed regime.
-	DType tensor.DType
+	// Numerics selects the training compute regime (§2.2.3): the tape
+	// dtype of every stage and, when Mixed, the mixed-precision step
+	// bracket (master-weight rounds + dynamic loss scaling). The zero
+	// value is the float64 reference. Reduced regimes keep the
+	// determinism contract: the microbatch reduction order is unchanged,
+	// and every replica's loss-scale decision is a function of the
+	// identical all-reduced gradient, so replicas stay in lockstep. The
+	// bracket is whole-model, so Mixed requires Stages == 1.
+	Numerics precision.Numerics
 }
 
 // Stats counts the engine's communication and compute activity.
@@ -206,8 +224,8 @@ type Stats struct {
 }
 
 // runtime is one (stage, worker) execution context: a persistent goroutine
-// (or the caller's goroutine, in shard mode) with per-slot pooled tapes
-// over a private arena free list and a boundary-mesh endpoint.
+// (or the caller's goroutine, in shard mode) with pooled tapes over a
+// private arena free list and a boundary-mesh endpoint.
 type runtime struct {
 	s, k   int
 	rank   int // mesh rank k·S + s
@@ -215,8 +233,15 @@ type runtime struct {
 	params []*autograd.Param
 
 	local *arena.Local
-	tapes []*autograd.Tape // per in-flight slot
+	// tapes holds one tape per microbatch the schedule keeps live at once;
+	// slot j uses tapes[j % len(tapes)].
+	tapes []*autograd.Tape
 	rng   tensor.RNG
+
+	// mp is the mixed-precision trainer (nil unless Numerics.Mixed, which
+	// implies S == 1); scale is the step's backward seed (1 without mp).
+	mp    *precision.MP
+	scale float64
 
 	// mesh is the boundary endpoint (nil when S == 1: no boundaries).
 	mesh transport.Mesh
@@ -253,6 +278,8 @@ type Engine struct {
 	// owned lists the locally-hosted runtimes: all S·K cells by default,
 	// exactly one in shard mode.
 	owned []*runtime
+	// params is what Params returns, built once in New.
+	params []*autograd.Param
 	// ownMesh is set when the engine built its own boundary fabric (and
 	// must close its endpoints); an injected Config.Mesh is never closed.
 	ownMesh bool
@@ -260,7 +287,7 @@ type Engine struct {
 	flatLen []int         // per-stage flattened gradient length
 	gbuf    [][][]float64 // [s][m]: per-microbatch gradient rows (owned cells only)
 	agg     [][][]float64 // [s][k]: per-replica aggregates (owned cells only)
-	rings   []*dist.Ring  // per-stage group collective (owned stages only)
+	rings   []*Ring       // per-stage group collective (owned stages only)
 	losses  []float64     // per-microbatch weighted losses
 
 	loader *data.Loader
@@ -328,6 +355,9 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 	if cfg.Microbatches > cfg.GlobalBatch {
 		return nil, fmt.Errorf("pipeline: Microbatches %d > GlobalBatch %d leaves permanently empty microbatches", cfg.Microbatches, cfg.GlobalBatch)
 	}
+	if cfg.Numerics.Mixed && cfg.Stages > 1 {
+		return nil, fmt.Errorf("pipeline: mixed-precision numerics need Stages == 1 (the master-weight/loss-scaling bracket is whole-model), got %d stages", cfg.Stages)
+	}
 	switch cfg.Schedule {
 	case "":
 		cfg.Schedule = GPipe
@@ -357,13 +387,14 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		if rep.Stage == nil || rep.Opt == nil {
 			return nil, fmt.Errorf("pipeline: factory returned incomplete stage %d for worker %d", s, k)
 		}
-		rt := &runtime{s: s, k: k, rank: k*e.S + s, rep: rep, params: rep.Stage.Params()}
+		rt := &runtime{s: s, k: k, rank: k*e.S + s, rep: rep, params: rep.Stage.Params(), scale: 1}
 		rt.local = e.buffers.NewLocal()
-		rt.tapes = make([]*autograd.Tape, e.mLocal)
+		rt.tapes = make([]*autograd.Tape, e.liveSlots(s))
 		for j := range rt.tapes {
 			rt.tapes[j] = autograd.NewTapeIn(rt.local) //mlperfvet:owns — runtime state, released in Close
-			rt.tapes[j].SetDType(cfg.DType)
+			rt.tapes[j].SetDType(cfg.Numerics.Compute)
 		}
+		rt.mp = cfg.Numerics.NewTrainer(rt.params)
 		rt.ins = make([][]*autograd.Var, e.mLocal)
 		rt.outs = make([][]*autograd.Var, e.mLocal)
 		rt.rvals = make([][]*tensor.Tensor, e.mLocal)
@@ -421,7 +452,15 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		}
 	}
 
-	e.loader = data.NewLoader(cfg.DatasetN, cfg.GlobalBatch, dist.LoaderRNG(cfg.Seed))
+	if cfg.Sharded() {
+		e.params = e.owned[0].params
+	} else {
+		for s := 0; s < e.S; s++ {
+			e.params = append(e.params, e.rts[0][s].params...)
+		}
+	}
+
+	e.loader = data.NewLoader(cfg.DatasetN, cfg.GlobalBatch, LoaderRNG(cfg.Seed))
 	e.loader.DropLast = cfg.DropLast
 
 	// Gradient rows, per-replica aggregates, and stage-group rings, for the
@@ -429,7 +468,7 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 	// microbatch range, and the ring sums all M rows across the K replicas.
 	e.gbuf = make([][][]float64, e.S)
 	e.agg = make([][][]float64, e.S)
-	e.rings = make([]*dist.Ring, e.S)
+	e.rings = make([]*Ring, e.S)
 	for _, rt := range e.owned {
 		s := rt.s
 		if e.gbuf[s] == nil {
@@ -452,10 +491,10 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		}
 		eps := make([]transport.Mesh, e.K)
 		eps[rt.k] = transport.Sub(cfg.Mesh, members)
-		e.rings[rt.s] = dist.NewRingOver(eps, cfg.Chunks, e.flatLen[rt.s], e.buffers)
+		e.rings[rt.s] = NewRingOver(eps, cfg.Chunks, e.flatLen[rt.s], e.buffers)
 	} else {
 		for s := 0; s < e.S; s++ {
-			e.rings[s] = dist.NewRing(e.K, cfg.Chunks, e.flatLen[s], e.buffers)
+			e.rings[s] = NewRing(e.K, cfg.Chunks, e.flatLen[s], e.buffers)
 		}
 	}
 	e.losses = make([]float64, e.M)
@@ -544,17 +583,9 @@ func (e *Engine) Microbatches() int { return e.M }
 
 // Params returns worker 0's full parameter list (the concatenation of its
 // stage shards in stage order) — or, in shard mode, the locally-hosted
-// stage's shard.
-func (e *Engine) Params() []*autograd.Param {
-	var ps []*autograd.Param
-	if e.cfg.Sharded() {
-		return append(ps, e.owned[0].params...)
-	}
-	for s := 0; s < e.S; s++ {
-		ps = append(ps, e.rts[0][s].params...)
-	}
-	return ps
-}
+// stage's shard. The slice is built once and shared: callers must not
+// modify it.
+func (e *Engine) Params() []*autograd.Param { return e.params }
 
 // FlatSize returns the total flattened gradient length across stages (the
 // locally-hosted stage's length in shard mode).
@@ -578,6 +609,22 @@ func (e *Engine) StepsPerEpoch() int { return e.loader.StepsPerEpoch() }
 // SetLRSchedule installs (or replaces) the learning-rate schedule applied
 // to every stage optimizer before each update.
 func (e *Engine) SetLRSchedule(s opt.Schedule) { e.cfg.LR = s }
+
+// interleaved reports whether each runtime alternates forwards with
+// backwards: 1F1B, and every schedule at S = 1, where a microbatch has no
+// downstream stage to wait on. Whole models (OneStage) need this order,
+// since MicrobatchLoss may reuse the model's batch buffers.
+func (e *Engine) interleaved() bool { return e.cfg.Schedule == OneFOneB || e.S == 1 }
+
+// liveSlots is the number of microbatches stage s holds between forward
+// and backward at once, and so its tape count: S−s under an interleaved
+// schedule (its warmup plus one), every local microbatch under GPipe.
+func (e *Engine) liveSlots(s int) int {
+	if e.interleaved() {
+		return min(e.mLocal, e.S-s)
+	}
+	return e.mLocal
+}
 
 // Stats returns cumulative activity counters.
 func (e *Engine) Stats() Stats {
@@ -737,9 +784,15 @@ func (e *Engine) runStage(rt *runtime) (err error) {
 			e.abort(rt, err)
 		}
 	}()
+	if rt.mp != nil {
+		// Round the live weights to the compute format for the whole step
+		// (every microbatch sees the same rounded weights, as in the serial
+		// trainer) and seed each backward with the loss scale.
+		rt.mp.BeginStep()
+		rt.scale = rt.mp.Scale()
+	}
 	mL := e.mLocal
-	switch e.cfg.Schedule {
-	case OneFOneB:
+	if e.interleaved() {
 		warm := e.S - 1 - rt.s
 		if warm > mL {
 			warm = mL
@@ -762,7 +815,7 @@ func (e *Engine) runStage(rt *runtime) (err error) {
 				return err
 			}
 		}
-	default: // GPipe fill-drain
+	} else { // GPipe fill-drain
 		for j := 0; j < mL; j++ {
 			if err := e.forward(rt, j); err != nil {
 				return err
@@ -785,7 +838,15 @@ func (e *Engine) runStage(rt *runtime) (err error) {
 	}
 	autograd.ScatterGrads(agg, rt.params)
 	opt.ApplySchedule(rt.rep.Opt, e.cfg.LR, e.step)
-	rt.rep.Opt.Step()
+	if rt.mp != nil {
+		// Apply restores the float64 masters, checks the all-reduced
+		// (scaled) gradient for overflow, and unscales before stepping.
+		// Every replica sees the identical aggregated gradient, so every
+		// replica makes the identical skip/backoff/growth decision.
+		rt.mp.Apply(rt.rep.Opt)
+	} else {
+		rt.rep.Opt.Step()
+	}
 	return nil
 }
 
@@ -845,9 +906,9 @@ func (e *Engine) forward(rt *runtime, j int) error {
 		}
 		return nil
 	}
-	tape := rt.tapes[j]
+	tape := rt.tapes[j%len(rt.tapes)]
 	tape.Reset()
-	dist.MicroshardRNGInto(&rt.rng, e.cfg.Seed, e.step, m)
+	MicroshardRNGInto(&rt.rng, e.cfg.Seed, e.step, m)
 
 	var in []*autograd.Var
 	if rt.s > 0 {
@@ -935,7 +996,7 @@ func (e *Engine) backward(rt *runtime, j int) error {
 	if len(shard) == 0 {
 		return nil // row zeroed at forward time
 	}
-	tape := rt.tapes[j]
+	tape := rt.tapes[j%len(rt.tapes)]
 	outs := rt.outs[j]
 	for _, p := range rt.params {
 		p.ZeroGrad()
@@ -945,7 +1006,7 @@ func (e *Engine) backward(rt *runtime, j int) error {
 	if rt.s == e.S-1 {
 		loss := outs[0]
 		e.losses[m] = loss.Scalar() * wgt
-		tape.Backward(loss)
+		tape.BackwardScaled(loss, rt.scale)
 	} else {
 		payload, err := rt.recvFrame(rt.rank+1, streamBwd, j)
 		if err != nil {

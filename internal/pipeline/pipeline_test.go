@@ -1,14 +1,18 @@
 package pipeline_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/autograd"
+	"repro/internal/data"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/opt"
 	"repro/internal/pipeline"
+	"repro/internal/precision"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -20,7 +24,8 @@ var mtDSOnce = sync.OnceValue(func() *datasets.MTDataset {
 	return datasets.GenerateMT(datasets.DefaultMTConfig())
 })
 
-// newImagePipeline builds a hybrid DP×PP ResNet engine.
+// newImagePipeline builds a ResNet engine: the whole model as the one
+// stage at S = 1 (pure data parallelism), partitioned stages above.
 func newImagePipeline(t testing.TB, stages, workers, microbatches, batch int, sched pipeline.Schedule, seed uint64) (*pipeline.Engine, []*models.ImageClassification) {
 	t.Helper()
 	ds := imgDSOnce()
@@ -33,11 +38,11 @@ func newImagePipeline(t testing.TB, stages, workers, microbatches, batch int, sc
 	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewImageClassification(ds, hp, seed)
 		reps = append(reps, m)
-		parts, err := m.PipelineStages(stages)
+		parts, err := pipeline.Split(stages, m, m.Opt, m.PipelineStages)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pipeline.Wrap(parts)
+		return parts
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,33 +51,64 @@ func newImagePipeline(t testing.TB, stages, workers, microbatches, batch int, sc
 	return eng, reps
 }
 
-// imageSerialBaseline trains the SAME workload on the dist engine at one
-// worker with Microshards = microbatches — the serial microbatch oracle
-// both engines share (dist's own tests anchor it to a plain hand-written
-// loop).
-func imageSerialBaseline(t testing.TB, microbatches, batch, steps int, seed uint64) []float64 {
-	t.Helper()
-	ds := imgDSOnce()
-	hp := models.DefaultImageHParams()
-	var reps []*models.ImageClassification
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: 1},
-		Microshards: microbatches,
-		GlobalBatch: batch, DatasetN: ds.Cfg.TrainN, Seed: seed,
-	}, func(worker int) dist.Replica {
-		m := models.NewImageClassification(ds, hp, seed)
-		reps = append(reps, m)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		t.Fatal(err)
+// serialLoop is the oracle every engine shape must reproduce: a
+// hand-written serial microbatch loop over one whole model, sharing only
+// the engine's loader and per-(step, microbatch) RNG derivations. Per step
+// it draws the next global batch; per microbatch it zeroes the gradients,
+// records MicrobatchLoss on a fresh tape, runs Backward, and flattens the
+// gradient scaled by the microbatch's share of the batch into that
+// microbatch's row. It then sums the rows from +0 in ascending order,
+// scatters the sum into the gradients, applies the LR schedule, and steps
+// the optimizer. It returns each step's loss (the ascending sum of the
+// weighted microbatch losses) and the final parameters by name.
+func serialLoop(m pipeline.Trainable, o opt.Optimizer, sched opt.Schedule, microbatches, batch, datasetN, steps int, seed uint64) ([]float64, map[string][]float64) {
+	params := m.Params()
+	n := autograd.FlatSize(params)
+	rows := make([][]float64, microbatches)
+	for j := range rows {
+		rows[j] = make([]float64, n)
 	}
-	defer eng.Close()
-	eng.SetSchedule(reps[0].Sched)
-	for s := 0; s < steps; s++ {
-		eng.StepNext()
+	sum := make([]float64, n)
+	loader := data.NewLoader(datasetN, batch, pipeline.LoaderRNG(seed))
+	var losses []float64
+	for step := 0; step < steps; step++ {
+		idx, _ := loader.Next()
+		invB := 1 / float64(len(idx))
+		loss := 0.0
+		for j, row := range rows {
+			shard := data.Shard(idx, j, microbatches)
+			if len(shard) == 0 {
+				clear(row)
+				continue
+			}
+			for _, p := range params {
+				p.ZeroGrad()
+			}
+			tape := autograd.NewTape()
+			l := m.MicrobatchLoss(tape, shard, pipeline.MicroshardRNG(seed, step, j))
+			tape.Backward(l)
+			wgt := float64(len(shard)) * invB
+			autograd.FlattenGradsScaled(row, params, wgt)
+			loss += l.Scalar() * wgt
+		}
+		clear(sum)
+		for _, row := range rows {
+			for i, g := range row {
+				sum[i] += g
+			}
+		}
+		autograd.ScatterGrads(sum, params)
+		opt.ApplySchedule(o, sched, step)
+		o.Step()
+		losses = append(losses, loss)
 	}
-	return flatParamValues(eng.Params())
+	return losses, paramsByName(params)
+}
+
+// imageSerialLoop runs serialLoop on a fresh ResNet workload.
+func imageSerialLoop(microbatches, batch, datasetN, steps int, seed uint64) ([]float64, map[string][]float64) {
+	m := models.NewImageClassification(imgDSOnce(), models.DefaultImageHParams(), seed)
+	return serialLoop(m, m.Opt, m.Sched, microbatches, batch, datasetN, steps, seed)
 }
 
 func flatParamValues(params []*autograd.Param) []float64 {
@@ -83,9 +119,9 @@ func flatParamValues(params []*autograd.Param) []float64 {
 	return out
 }
 
-// paramsByName indexes parameter values by name: the pipeline engine's
-// Params() order is stage-concatenation order, which can differ from the
-// serial model's list order, so cross-engine comparison matches by name.
+// paramsByName indexes parameter values by name: the engine's Params()
+// order is stage-concatenation order, which can differ from the whole
+// model's list order, so comparison matches by name.
 func paramsByName(params []*autograd.Param) map[string][]float64 {
 	out := make(map[string][]float64, len(params))
 	for _, p := range params {
@@ -112,9 +148,28 @@ func requireSameParams(t *testing.T, label string, got []*autograd.Param, want m
 	}
 }
 
-// The headline property: pipeline-parallel (and hybrid DP×PP) ResNet
-// training is bit-identical to the serial microbatch baseline across the
-// full (stages, schedule, workers) grid at fixed Microbatches.
+func requireSameLosses(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: step %d loss %g, serial %g", label, i, got[i], want[i])
+		}
+	}
+}
+
+// stepN runs n engine steps and returns their losses.
+func stepN(eng *pipeline.Engine, n int) []float64 {
+	var out []float64
+	for s := 0; s < n; s++ {
+		out = append(out, eng.StepNext())
+	}
+	return out
+}
+
+// The headline property: ResNet training on every engine shape — data
+// parallel (S = 1), pipeline parallel, and hybrid DP×PP, under both
+// schedules — is bit-identical to the serial microbatch loop at fixed
+// Microbatches.
 func TestPPImageBitIdenticalGrid(t *testing.T) {
 	const (
 		microbatches = 8
@@ -122,31 +177,15 @@ func TestPPImageBitIdenticalGrid(t *testing.T) {
 		seed         = 7
 		steps        = 3
 	)
-	serial := imageSerialBaseline(t, microbatches, batch, steps, seed)
-
-	ds := imgDSOnce()
-	hp := models.DefaultImageHParams()
-	ref := func() map[string][]float64 {
-		m := models.NewImageClassification(ds, hp, seed)
-		byName := make(map[string][]float64)
-		o := 0
-		for _, p := range m.Params() {
-			byName[p.Name] = serial[o : o+p.Value.Size()]
-			o += p.Value.Size()
-		}
-		return byName
-	}()
-
+	_, ref := imageSerialLoop(microbatches, batch, imgDSOnce().Cfg.TrainN, steps, seed)
 	for _, stages := range []int{1, 2, 4} {
 		for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
 			for _, workers := range []int{1, 2} {
 				eng, _ := newImagePipeline(t, stages, workers, microbatches, batch, sched, seed)
-				for s := 0; s < steps; s++ {
-					eng.StepNext()
-				}
-				label := string(sched)
+				stepN(eng, steps)
+				label := fmt.Sprintf("S=%d %s K=%d", stages, sched, workers)
 				if !eng.InSync() {
-					t.Fatalf("S=%d %s K=%d: stage replicas out of sync", stages, label, workers)
+					t.Fatalf("%s: stage replicas out of sync", label)
 				}
 				requireSameParams(t, label, eng.Params(), ref)
 				eng.Close()
@@ -157,7 +196,7 @@ func TestPPImageBitIdenticalGrid(t *testing.T) {
 
 // The Transformer grid: encoder-decoder staging with tied embeddings on
 // stage 0, pass-through decoder embedding and attention memory across
-// stage boundaries.
+// stage boundaries; at S = 1 the whole model's MicrobatchLoss.
 func TestPPTransformerBitIdenticalGrid(t *testing.T) {
 	const (
 		microbatches = 4
@@ -167,30 +206,8 @@ func TestPPTransformerBitIdenticalGrid(t *testing.T) {
 	)
 	ds := mtDSOnce()
 	hp := models.DefaultTransformerHParams()
-
-	// Serial microbatch oracle on the dist engine (Translation gained
-	// Params/MicrobatchLoss in this change, so the transformer benchmark
-	// is now data-parallel-capable too).
-	var serialReps []*models.Translation
-	serialEng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: 1},
-		Microshards: microbatches,
-		GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
-	}, func(worker int) dist.Replica {
-		m := models.NewTranslation(ds, hp, seed)
-		serialReps = append(serialReps, m)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serialEng.Close()
-	serialEng.SetSchedule(serialReps[0].Sched)
-	var serialLosses []float64
-	for s := 0; s < steps; s++ {
-		serialLosses = append(serialLosses, serialEng.StepNext())
-	}
-	ref := paramsByName(serialEng.Params())
+	serial := models.NewTranslation(ds, hp, seed)
+	serialLosses, ref := serialLoop(serial, serial.Opt, serial.Sched, microbatches, batch, len(ds.Train), steps, seed)
 
 	for _, stages := range []int{1, 2, 4} {
 		for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
@@ -203,25 +220,22 @@ func TestPPTransformerBitIdenticalGrid(t *testing.T) {
 				}, func(worker int) []pipeline.StageReplica {
 					m := models.NewTranslation(ds, hp, seed)
 					reps = append(reps, m)
-					parts, err := m.PipelineStages(stages)
+					parts, err := pipeline.Split(stages, m, m.Opt, m.PipelineStages)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return pipeline.Wrap(parts)
+					return parts
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				eng.SetLRSchedule(reps[0].Sched)
-				for s := 0; s < steps; s++ {
-					if loss := eng.StepNext(); loss != serialLosses[s] {
-						t.Fatalf("S=%d %s K=%d: step %d loss %g, serial %g", stages, sched, workers, s, loss, serialLosses[s])
-					}
-				}
+				label := fmt.Sprintf("S=%d %s K=%d", stages, sched, workers)
+				requireSameLosses(t, label, stepN(eng, steps), serialLosses)
 				if !eng.InSync() {
-					t.Fatalf("S=%d %s K=%d: stage replicas out of sync", stages, sched, workers)
+					t.Fatalf("%s: stage replicas out of sync", label)
 				}
-				requireSameParams(t, string(sched), eng.Params(), ref)
+				requireSameParams(t, label, eng.Params(), ref)
 				eng.Close()
 			}
 		}
@@ -231,7 +245,7 @@ func TestPPTransformerBitIdenticalGrid(t *testing.T) {
 // Ragged configurations: a batch the microbatch count does not divide, a
 // short final batch that leaves some microbatches empty, and an epoch
 // boundary in the middle of the run — all must stay bit-identical to the
-// serial baseline.
+// serial loop, at one stage and at two.
 func TestPPRaggedBatchesBitIdentical(t *testing.T) {
 	const (
 		microbatches = 16
@@ -242,59 +256,38 @@ func TestPPRaggedBatchesBitIdentical(t *testing.T) {
 	)
 	ds := imgDSOnce()
 	hp := models.DefaultImageHParams()
+	serialLosses, ref := imageSerialLoop(microbatches, batch, datasetN, steps, seed)
 
-	var serialReps []*models.ImageClassification
-	serialEng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: 1},
-		Microshards: microbatches,
-		GlobalBatch: batch, DatasetN: datasetN, Seed: seed,
-	}, func(worker int) dist.Replica {
-		m := models.NewImageClassification(ds, hp, seed)
-		serialReps = append(serialReps, m)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serialEng.Close()
-	serialEng.SetSchedule(serialReps[0].Sched)
-	var serialLosses []float64
-	for s := 0; s < steps; s++ {
-		serialLosses = append(serialLosses, serialEng.StepNext())
-	}
-	ref := paramsByName(serialEng.Params())
-
-	for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
-		var reps []*models.ImageClassification
-		eng, err := pipeline.New(pipeline.Config{
-			Endpoint: transport.Endpoint{Workers: 2},
-			Stages:   2, Microbatches: microbatches,
-			Schedule: sched, GlobalBatch: batch, DatasetN: datasetN, Seed: seed,
-		}, func(worker int) []pipeline.StageReplica {
-			m := models.NewImageClassification(ds, hp, seed)
-			reps = append(reps, m)
-			parts, err := m.PipelineStages(2)
+	for _, stages := range []int{1, 2} {
+		for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
+			var reps []*models.ImageClassification
+			eng, err := pipeline.New(pipeline.Config{
+				Endpoint: transport.Endpoint{Workers: 2},
+				Stages:   stages, Microbatches: microbatches,
+				Schedule: sched, GlobalBatch: batch, DatasetN: datasetN, Seed: seed,
+			}, func(worker int) []pipeline.StageReplica {
+				m := models.NewImageClassification(ds, hp, seed)
+				reps = append(reps, m)
+				parts, err := pipeline.Split(stages, m, m.Opt, m.PipelineStages)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return parts
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return pipeline.Wrap(parts)
-		})
-		if err != nil {
-			t.Fatal(err)
+			eng.SetLRSchedule(reps[0].Sched)
+			label := fmt.Sprintf("S=%d %s", stages, sched)
+			requireSameLosses(t, label, stepN(eng, steps), serialLosses)
+			requireSameParams(t, label, eng.Params(), ref)
+			eng.Close()
 		}
-		eng.SetLRSchedule(reps[0].Sched)
-		for s := 0; s < steps; s++ {
-			if loss := eng.StepNext(); loss != serialLosses[s] {
-				t.Fatalf("%s: step %d loss %g, serial %g", sched, s, loss, serialLosses[s])
-			}
-		}
-		requireSameParams(t, string(sched), eng.Params(), ref)
-		eng.Close()
 	}
 }
 
-// The loss reported by the engine equals the serial engine's loss stream,
-// and schedule/stage/worker knobs never change it.
+// The loss the engine reports is the serial loop's loss stream, whatever
+// the stage count, worker count and schedule.
 func TestPPLossMatchesSerial(t *testing.T) {
 	const (
 		microbatches = 8
@@ -302,26 +295,14 @@ func TestPPLossMatchesSerial(t *testing.T) {
 		seed         = 3
 		steps        = 3
 	)
-	run := func(stages, workers int, sched pipeline.Schedule) []float64 {
-		eng, _ := newImagePipeline(t, stages, workers, microbatches, batch, sched, seed)
-		defer eng.Close()
-		var out []float64
-		for s := 0; s < steps; s++ {
-			out = append(out, eng.StepNext())
-		}
-		return out
-	}
-	ref := run(1, 1, pipeline.GPipe)
+	want, _ := imageSerialLoop(microbatches, batch, imgDSOnce().Cfg.TrainN, steps, seed)
 	for _, cfg := range []struct {
 		s, k  int
 		sched pipeline.Schedule
-	}{{4, 1, pipeline.GPipe}, {2, 2, pipeline.OneFOneB}, {4, 2, pipeline.OneFOneB}} {
-		got := run(cfg.s, cfg.k, cfg.sched)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("S=%d K=%d %s: step %d loss %g, want %g", cfg.s, cfg.k, cfg.sched, i, got[i], ref[i])
-			}
-		}
+	}{{1, 1, pipeline.GPipe}, {1, 2, pipeline.OneFOneB}, {4, 1, pipeline.GPipe}, {2, 2, pipeline.OneFOneB}, {4, 2, pipeline.OneFOneB}} {
+		eng, _ := newImagePipeline(t, cfg.s, cfg.k, microbatches, batch, cfg.sched, seed)
+		requireSameLosses(t, fmt.Sprintf("S=%d K=%d %s", cfg.s, cfg.k, cfg.sched), stepN(eng, steps), want)
+		eng.Close()
 	}
 }
 
@@ -352,6 +333,7 @@ func TestPPEngineValidation(t *testing.T) {
 		{"droplast batch over dataset", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 200, DatasetN: 100, DropLast: true}, okFactory},
 		{"nil factory", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, nil},
 		{"wrong stage count", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 3, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"mixed precision across stages", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100, Numerics: precision.NumericsFor(tensor.BFloat16)}, okFactory},
 		{"mismatched replicas", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, func(worker int) []pipeline.StageReplica {
 			m := models.NewImageClassification(ds, hp, uint64(worker)) // different seeds: different init
 			parts, err := m.PipelineStages(2)

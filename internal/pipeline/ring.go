@@ -1,4 +1,4 @@
-package dist
+package pipeline
 
 import (
 	"fmt"
@@ -8,19 +8,17 @@ import (
 )
 
 // Ring stream tags. The ring's two legs multiplex over each member pair's
-// link independently of the pipeline engine's boundary streams (whose rank
-// pairs differ anyway: ring links connect replicas of one stage, boundary
-// links connect adjacent stages of one replica).
+// link independently of the engine's boundary streams (whose rank pairs
+// differ anyway: ring links connect replicas of one stage, boundary links
+// connect adjacent stages of one replica).
 const (
 	streamReduce uint32 = 0x5244 // "RD": reduce-scatter leg
 	streamGather uint32 = 0x4754 // "GT": all-gather leg
 )
 
 // Ring is a reusable K-member chunked ring all-reduce over rows of
-// flattened gradient contributions — the collective extracted from the
-// data-parallel engine so other engines (notably the pipeline-parallel
-// stage groups in internal/pipeline) can share one deterministic
-// implementation.
+// flattened gradient contributions: the data-parallel leg of every stage
+// group (at one stage, the whole of data parallelism).
 //
 // A reduction round sums a set of rows (each flatLen long) in ascending row
 // order into every member's aggregate buffer. Member w contributes the
@@ -29,7 +27,7 @@ const (
 // order, and the all-gather leg circulates the finished chunks K−1 → 0 → …
 // → K−2. Because each chunk's partial sums accumulate strictly in ascending
 // row order, the result is bit-identical to a serial ascending sum — the
-// determinism contract both engines' tests assert.
+// determinism contract the engine's tests assert.
 //
 // The legs run over a transport.Mesh, so the same code drives the
 // in-process channel fabric (NewRing — the historical single-process form)
@@ -80,7 +78,7 @@ func NewRing(members, chunks, flatLen int, buffers *arena.Arena) *Ring {
 func NewRingOver(eps []transport.Mesh, chunks, flatLen int, buffers *arena.Arena) *Ring {
 	for w, ep := range eps {
 		if ep != nil && ep.World() != len(eps) {
-			panic(fmt.Sprintf("dist: NewRingOver endpoint %d has world %d, want %d", w, ep.World(), len(eps)))
+			panic(fmt.Sprintf("pipeline: NewRingOver endpoint %d has world %d, want %d", w, ep.World(), len(eps)))
 		}
 	}
 	return newRing(len(eps), chunks, flatLen, eps, buffers)
@@ -88,10 +86,10 @@ func NewRingOver(eps []transport.Mesh, chunks, flatLen int, buffers *arena.Arena
 
 func newRing(members, chunks, flatLen int, eps []transport.Mesh, buffers *arena.Arena) *Ring {
 	if members < 1 {
-		panic(fmt.Sprintf("dist: NewRing members %d < 1", members))
+		panic(fmt.Sprintf("pipeline: NewRing members %d < 1", members))
 	}
 	if flatLen < 1 {
-		panic(fmt.Sprintf("dist: NewRing flatLen %d < 1", flatLen))
+		panic(fmt.Sprintf("pipeline: NewRing flatLen %d < 1", flatLen))
 	}
 	if chunks < 1 {
 		chunks = members
@@ -189,7 +187,7 @@ func (r *Ring) AllReduce(w int, rows [][]float64, rlo, rhi int, agg []float64) e
 				return err
 			}
 			if len(got) != n {
-				return fmt.Errorf("dist: ring reduce chunk %d carried %d elements, want %d: %w", c, len(got), n, transport.ErrBadFrame)
+				return fmt.Errorf("pipeline: ring reduce chunk %d carried %d elements, want %d: %w", c, len(got), n, transport.ErrBadFrame)
 			}
 			buf = got
 		}
@@ -226,7 +224,7 @@ func (r *Ring) AllReduce(w int, rows [][]float64, rlo, rhi int, agg []float64) e
 				return err
 			}
 			if len(got) != n {
-				return fmt.Errorf("dist: ring gather chunk %d carried %d elements, want %d: %w", c, len(got), n, transport.ErrBadFrame)
+				return fmt.Errorf("pipeline: ring gather chunk %d carried %d elements, want %d: %w", c, len(got), n, transport.ErrBadFrame)
 			}
 			copy(agg[lo:hi], got)
 			if w+1 < K-1 {

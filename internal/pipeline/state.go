@@ -1,16 +1,17 @@
 package pipeline
 
-// Checkpoint capture/restore for the pipeline-parallel engine. The hybrid
-// data-parallel dimension keeps stage replicas bit-identical across
-// workers (identical aggregated gradients per stage group), so the
-// checkpoint is one worker wide: capture worker 0's stage shards in stage
-// order — exactly the Params() gather — plus one optimizer state per
-// stage, and restore into every worker's replica of each stage. In
-// multi-process shard mode each rank hosts one (worker, stage) cell and
-// checkpoints only its own shard; the per-rank files jointly cover the
-// model, and each rank restores from its own. Per-(step, microbatch) RNG
-// streams are pure functions of (seed, step, m) — the Step counter
-// restores them.
+// Checkpoint capture/restore for the engine. The data-parallel dimension
+// keeps stage replicas bit-identical across workers (identical aggregated
+// gradients per stage group), so the checkpoint is one worker wide:
+// capture worker 0's stage shards in stage order — exactly the Params()
+// gather — plus one optimizer state per stage, and restore into every
+// worker's replica of each stage. At S = 1 under mixed precision the
+// loss-scale position rides along (replicas share it: each makes the same
+// decision from the same all-reduced gradient). In multi-process shard
+// mode each rank hosts one (worker, stage) cell and checkpoints only its
+// own shard; the per-rank files jointly cover the model, and each rank
+// restores from its own. Per-(step, microbatch) RNG streams are pure
+// functions of (seed, step, m) — the Step counter restores them.
 
 import (
 	"fmt"
@@ -38,8 +39,8 @@ func (e *Engine) ckptRuntimes() []*runtime {
 
 // CaptureTrainState snapshots the engine's full training position: the
 // covered stage shards' parameters (concatenated, matching Params()), one
-// optimizer state per covered stage, the loader cursor, and the
-// step/epoch counters.
+// optimizer state per covered stage, the loss-scale position in the mixed
+// regime, the loader cursor, and the step/epoch counters.
 func (e *Engine) CaptureTrainState() *models.TrainState {
 	st := &models.TrainState{
 		Step:   e.step,
@@ -51,6 +52,10 @@ func (e *Engine) CaptureTrainState() *models.TrainState {
 	for _, rt := range e.ckptRuntimes() {
 		if o, ok := rt.rep.Opt.(opt.Stateful); ok {
 			st.Opts = append(st.Opts, o.CaptureState())
+		}
+		if rt.mp != nil {
+			s := rt.mp.State()
+			st.MP = &s
 		}
 	}
 	return st
@@ -105,6 +110,12 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 			}
 			if err := o.RestoreState(st.Opts[i]); err != nil {
 				return fmt.Errorf("pipeline: stage %d worker %d: %w", rt.s, k, err)
+			}
+			if (st.MP != nil) != (target.mp != nil) {
+				return fmt.Errorf("pipeline: train state mixed-precision presence %v != engine %v", st.MP != nil, target.mp != nil)
+			}
+			if st.MP != nil {
+				target.mp.SetState(*st.MP)
 			}
 		}
 	}

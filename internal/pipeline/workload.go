@@ -6,10 +6,10 @@ import (
 )
 
 // Workload adapts an Engine to the models.Workload interface (structurally
-// — no models import is needed), so pipeline-parallel and hybrid DP×PP
-// training plug into core.Run/core.RunSet unchanged: the harness drives
-// TrainEpoch/Evaluate, applies the §3.2.1 timing rules, and emits
-// compliant MLLOG streams while the engine trains across S×K stage
+// — no models import is needed), so data-parallel, pipeline-parallel and
+// hybrid DP×PP training plug into core.Run/core.RunSet unchanged: the
+// harness drives TrainEpoch/Evaluate, applies the §3.2.1 timing rules, and
+// emits compliant MLLOG streams while the engine trains across S×K stage
 // goroutines under the hood.
 type Workload struct {
 	name string

@@ -60,7 +60,7 @@ func NewRNG(seed uint64) *RNG {
 
 // Reseed reinitializes r in place to the stream NewRNG(seed) would
 // produce. Hot loops that need a fresh deterministic stream every step
-// (e.g. the per-microshard streams of internal/dist) reseed a persistent
+// (e.g. the per-microbatch streams of internal/pipeline) reseed a persistent
 // RNG instead of allocating a new one.
 func (r *RNG) Reseed(seed uint64) {
 	sm := seed
